@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _bench_json import record_bench, time_ms, time_ms_paired
+from _bench_json import record_bench, time_ms
 
 from repro.baselines.flooding import make_flood_new_factory
 from repro.core.algorithm1 import make_algorithm1_factory
@@ -84,46 +84,6 @@ def test_engine_fast_vs_reference(benchmark):
     assert speedup >= 3.0, f"fast path only {speedup:.1f}x faster"
 
     benchmark(lambda: go("fast"))
-
-
-def test_engine_columnar_vs_fast(benchmark):
-    """Columnar vs fast on an Algorithm-1 sweep at n=10⁴: identical, faster.
-
-    The clustered-star topology is the columnar tier's home turf — a
-    static (∞, L)-hierarchy big enough (n ≥ 10⁴, the issue's gate floor)
-    that masked-column receive beats the fast path's per-delivery
-    scatter.  Samples are interleaved (``time_ms_paired``) so the ratio
-    measures the kernels rather than allocator drift.
-    """
-    n, theta, k = 10_000, 300, 16
-    net = CSRNetwork(clustered_star_arrays(n, theta))
-    initial = {v: frozenset({v % k}) for v in range(n)}
-    factory = make_algorithm1_factory(T=12, M=6)
-
-    def go(engine):
-        return SynchronousEngine(engine=engine).run(net, factory, k, initial, 72)
-
-    fast_result = go("fast")
-    col_result = go("columnar")
-    assert col_result.outputs == fast_result.outputs
-    assert col_result.metrics == fast_result.metrics
-
-    fast_stats, col_stats = time_ms_paired(
-        lambda: go("fast"), lambda: go("columnar"), repeats=5
-    )
-    speedup = fast_stats["median_ms"] / col_stats["median_ms"]
-    record_bench("columnar_vs_fast_alg1_n10000", {
-        "scenario": f"clustered_star_arrays(n={n}, theta={theta}), algorithm1(T=12, M=6), k={k}",
-        "rounds": col_result.metrics.rounds,
-        "tokens_sent": col_result.metrics.tokens_sent,
-        "fast_median_ms": fast_stats["median_ms"],
-        "columnar_median_ms": col_stats["median_ms"],
-        "speedup": round(speedup, 2),
-        "results_identical": True,
-    })
-    assert speedup >= 0.9, f"columnar only {speedup:.2f}x vs fast at n=1e4"
-
-    benchmark(lambda: go("columnar"))
 
 
 def test_columnar_flood_round_scale(benchmark):

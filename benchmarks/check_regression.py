@@ -7,16 +7,16 @@ baseline:
 
 * deterministic counters (``rounds``, ``tokens_sent``) must match the
   baseline **exactly** — any drift means engine semantics changed;
-* the fast path must still be *bit-identical* to the reference engine
-  (outputs, metrics, and the telemetry timeline);
+* the vectorised engine (``engine="fast"``) must still be
+  *bit-identical* to the reference engine (outputs, metrics, and the
+  telemetry timeline);
 * the fast/reference **speedup ratio** — measured fresh, both engines on
   the same machine in the same process — must stay within ``--threshold``
   (default 25%) of the baseline's recorded ratio;
-* the **columnar speedup gate** (``columnar_vs_fast_alg1_n10000``): the
-  columnar tier must stay bit-identical to the fast path and its
-  columnar/fast ratio — measured with interleaved samples — must clear
-  both the baseline ratio and fast-path parity, modulo ``--threshold``
-  (the issue-level invariant: columnar ≥ fastpath at n ≥ 10⁴);
+* the **n = 10⁴ counter pin** (``columnar_vs_fast_alg1_n10000``): the
+  vectorised engine's ``rounds`` and ``tokens_sent`` must match the
+  baseline exactly and the run must be bit-identical to the reference
+  engine;
 * the **telemetry overhead budget** (``obs_overhead_trace_vs_off``, a
   synthetic case needing no baseline entry): an ``obs="trace"`` run must
   cost at most ``--obs-budget`` times the ``obs="off"`` run and must not
@@ -161,21 +161,18 @@ def check_algorithm1_full_run(baseline: Dict[str, object], args) -> CheckResult:
 
 
 def check_columnar_vs_fast(baseline: Dict[str, object], args) -> CheckResult:
-    """Columnar speedup gate: columnar must not fall behind the fast path.
+    """Counter pin for the vectorised engine at n = 10⁴.
 
-    Re-runs the recorded Algorithm-1 sweep (clustered star, n=10⁴ — the
-    issue's gate floor for the columnar tier) on both vectorised engines.
-    Deterministic counters must match the baseline exactly, the engines
-    must agree bit-for-bit, and the columnar/fast speedup — measured with
-    *interleaved* samples so allocator drift cancels — must clear both
-    the baseline's recorded ratio and parity with the fast path, each
-    modulo ``--threshold``.  The parity floor is what keeps "columnar ≥
-    fastpath at n ≥ 10⁴" gated even if a slow baseline is ever committed.
+    Re-runs the recorded Algorithm-1 sweep (clustered star, n = 10⁴) on
+    the vectorised engine: its deterministic counters must match the
+    baseline exactly, and the run must agree bit-for-bit with the
+    reference engine.  ``"fast"`` is an alias of the same engine, so no
+    speedup is gated here; large-n timing lives in the perfbench
+    ``columnar_scale`` workload.
     """
     from repro.bench.matrix import columnar_gate_instance
     from repro.sim.engine import SynchronousEngine
 
-    threshold = args.threshold
     net, factory, k, initial, rounds = columnar_gate_instance()
 
     def go(engine: str):
@@ -184,7 +181,7 @@ def check_columnar_vs_fast(baseline: Dict[str, object], args) -> CheckResult:
 
     failures: List[str] = []
     rows: List[Row] = []
-    fast, col = go("fast"), go("columnar")
+    col = go("columnar")
 
     for metric, got in (
         ("rounds", col.metrics.rounds),
@@ -199,30 +196,11 @@ def check_columnar_vs_fast(baseline: Dict[str, object], args) -> CheckResult:
                 "(deterministic counter drifted — engine semantics changed)"
             )
 
-    identical = equivalent(col, fast)
-    rows.append(_row("columnar == fast (outputs+metrics+timeline)",
+    identical = equivalent(col, go("reference"))
+    rows.append(_row("columnar == reference (outputs+metrics+timeline)",
                      True, identical, identical))
     if not identical:
-        failures.append("columnar tier diverged from the fast path")
-
-    fast_stats, col_stats, speedup = measure_ratio(
-        lambda: go("fast"), lambda: go("columnar"),
-        repeats=args.repeats, inject_ms=args.inject_columnar_slowdown_ms,
-    )
-    base_speedup = float(baseline.get("speedup", 0.0))
-    floor = max(base_speedup, 1.0) * (1.0 - threshold)
-    ok = speedup >= floor
-    rows.append(_row(f"columnar speedup (floor {floor:.2f}x)",
-                     f"{base_speedup:.2f}x", f"{speedup:.2f}x", ok))
-    rows.append(_row("columnar_median_ms (not gated)",
-                     baseline.get("columnar_median_ms"),
-                     col_stats["median_ms"], True))
-    if not ok:
-        failures.append(
-            f"columnar speedup regressed: {speedup:.2f}x < {floor:.2f}x "
-            f"(baseline {base_speedup:.2f}x, parity floor 1.00x, "
-            f"threshold {threshold:.0%})"
-        )
+        failures.append("vectorised engine diverged from the reference engine")
     return failures, rows
 
 
@@ -472,10 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--inject-slowdown-ms", type=float, default=0.0,
                         help="testing hook: sleep this long inside the timed "
                         "fast-path callable")
-    parser.add_argument("--inject-columnar-slowdown-ms", type=float,
-                        default=0.0,
-                        help="testing hook: sleep this long inside the timed "
-                        "columnar callable")
     parser.add_argument("--obs-budget", type=float, default=3.0,
                         help="max allowed obs='trace' / obs='off' wall-clock "
                         "ratio (default: 3.0)")

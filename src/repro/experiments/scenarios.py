@@ -343,8 +343,8 @@ def haeupler_kuhn_scenario(
     (:class:`~repro.graphs.adversary.HaeuplerKuhnAdversary`) is played
     against a flooding-knowledge oracle and the committed rounds become an
     oblivious 1-interval-connected path trace — worst-case-shaped for
-    every one-token-per-round protocol, runnable on all three engine
-    tiers.  ``verify=True`` certifies the trace with the *incremental*
+    every one-token-per-round protocol, runnable on every engine
+    setting.  ``verify=True`` certifies the trace with the *incremental*
     :func:`~repro.graphs.properties.max_interval_connectivity` checker
     (binary search over running window intersections — no O(T·R)
     sliding-window fallback) and stores the certified value in

@@ -24,7 +24,7 @@ Layered by cost, selected with the engines' ``obs`` parameter
 * :mod:`repro.obs.aggregate` — cross-run percentile progress bands
   (:func:`merge_timelines`) behind the ``repro report`` dashboard;
 * :mod:`repro.obs.stream` — live streaming: an in-process pub/sub
-  :class:`TelemetryBus` fed per round by all three engine tiers, with
+  :class:`TelemetryBus` fed per round by both execution paths, with
   drop-counting backpressure sinks (:class:`BufferSink`,
   :class:`QueueSink`), incremental JSONL (:class:`JsonlStreamSink`),
   the ``repro watch`` terminal view (:class:`LiveDashboard`), and a

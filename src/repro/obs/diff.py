@@ -239,9 +239,11 @@ def diff_recordings(
 def diff_engines(spec, scenario, **overrides) -> DivergenceReport:
     """Record ``scenario`` under ``spec`` on both engines and diff them.
 
-    Returns the fast-vs-reference :class:`DivergenceReport` — identical
-    when the bit-identity guarantee holds, a pinpointed divergence when
-    it does not (e.g. under the ``REPRO_FASTPATH_FAULT`` test hook).
+    Returns the fast-vs-reference :class:`DivergenceReport` (``"fast"``
+    names the vectorised engine) — identical when the bit-identity
+    guarantee holds, a pinpointed divergence when it does not (e.g. under
+    a :class:`~repro.sim.linkmodel.PinpointFault` restricted to
+    ``tiers=("fast", "columnar")``).
     Runs bypass the result cache: a stale cache entry would mask a live
     divergence.
     """

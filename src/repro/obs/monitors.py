@@ -9,10 +9,10 @@ assumptions into structured :class:`Violation` diagnostics with enough
 round/phase/node context to explain *where* the argument first cracked.
 
 A :class:`Monitor` receives one :class:`RoundView` per executed round —
-built identically by both engines (the fast path converts its bitset
-popcounts to the same plain-int lists), so the violation stream joins the
-fastpath⇄reference equivalence guarantee — and may emit more violations
-in :meth:`Monitor.finish` once the run's outcome is known.
+built identically by both engines (the vectorised engine converts its
+bitset popcounts to the same plain-int lists), so the violation stream
+joins the vectorised⇄reference equivalence guarantee — and may emit more
+violations in :meth:`Monitor.finish` once the run's outcome is known.
 
 Built-in monitors (assembled per algorithm by :func:`default_monitors`):
 
@@ -78,7 +78,7 @@ class RoundView:
 
     Both engines construct identical views: the topology snapshot the
     round ran on, end-of-round coverage / completion counters, and the
-    per-node token counts (plain ints, so fastpath bitset popcounts and
+    per-node token counts (plain ints, so vectorised bitset popcounts and
     reference ``len(TA)`` compare equal).
 
     When the run has a :class:`~repro.sim.linkmodel.LinkModel` attached,

@@ -13,19 +13,19 @@ time).
 
 Engine-identical by construction
 --------------------------------
-Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`)
+Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`)
 record natively through the same :class:`RunRecorder`, and everything
 order-dependent is canonicalised:
 
 * token sets are stored as **sorted** tuples;
 * per-round messages are sorted by ``(sender, kind, dest, tokens,
   cost)`` — the reference engine emits per-node ``Message`` objects in
-  node order while the fast path walks flat send-batch arrays, and the
+  node order while the vectorised engine walks send-batch arrays, and the
   sort makes both streams identical;
 * knowledge deltas are listed in ascending node order, each as a sorted
   token tuple.
 
-Recordings are therefore part of the fastpath⇄reference *bit-identity*
+Recordings are therefore part of the vectorised⇄reference *bit-identity*
 guarantee (asserted registry-wide in ``tests/test_recorder.py``), and —
 being fully deterministic — they ride the :mod:`repro.io` codecs and the
 on-disk result cache (``obs="record"`` joins the cache key; see the
@@ -55,6 +55,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -477,6 +478,26 @@ class RunRecorder:
                 tokens=tuple(sorted(tokens)),
                 cost=int(cost),
             )
+        )
+
+    def record_sends(
+        self,
+        kind: str,
+        senders: Iterable[int],
+        dests: Iterable[int],
+        tokens: Iterable[Sequence[int]],
+        costs: Iterable[int],
+    ) -> None:
+        """Record a batch of one ``kind`` of transmission at once.
+
+        The vectorised engine's bulk form of :meth:`record_send`: plain
+        ints, ``-1`` dests for broadcasts, and each token list already
+        sorted; zero-cost entries are skipped.
+        """
+        self._messages.extend(
+            MessageRecord(s, kind, d, tuple(t), c)
+            for s, d, t, c in zip(senders, dests, tokens, costs)
+            if c
         )
 
     def end_round(

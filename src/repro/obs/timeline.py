@@ -6,7 +6,7 @@ rounds — but :class:`~repro.sim.metrics.Metrics` mostly records end-of-run
 totals, and the only per-round view used to be the O(n·k)
 :class:`~repro.sim.trace.SimTrace`.  This module is the always-on middle
 layer: a :class:`RunTimeline` of O(1)-per-round counters that both engines
-(:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`) feed identically,
+(:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`) feed identically,
 so dissemination-progress curves, per-role message breakdowns per phase,
 and hierarchy population dynamics are available on every run without
 re-execution.
@@ -22,9 +22,9 @@ Observability levels (the engines' ``obs`` parameter):
 ``"trace"``
     Timeline plus a :class:`~repro.obs.trace.CausalTrace`: one compact
     first-learn event per (node, token) pair, recorded natively by *both*
-    engines (the fast path does not fall back), so provenance chains and
-    hop histograms cost O(n·k) total instead of O(n·k) *per round* like
-    the legacy ``SimTrace`` knowledge snapshots.
+    engines (the vectorised engine does not fall back), so provenance
+    chains and hop histograms cost O(n·k) total instead of O(n·k) *per
+    round* like the legacy ``SimTrace`` knowledge snapshots.
 ``"record"``
     Timeline plus a :class:`~repro.obs.recorder.RunRecording`: per-round
     knowledge-set deltas, role/cluster assignments and canonically
@@ -39,7 +39,7 @@ Observability levels (the engines' ``obs`` parameter):
     topology decode vs. send vs. deliver vs. receive vs. bookkeeping.
     Wall times are non-deterministic, so profiled runs bypass the result
     cache; :attr:`RunTimeline.profile` is excluded from equality so the
-    fastpath⇄reference timeline-equivalence guarantees still hold.
+    vectorised⇄reference timeline-equivalence guarantees still hold.
 
 Timelines serialize through :func:`repro.io.timeline_to_dict` (they ride
 along inside ``RunResult`` archives and the on-disk result cache) and
@@ -131,7 +131,7 @@ class RunTimeline:
     Every list holds one entry per executed round; the role-keyed dicts
     hold equal-length columns (zero-backfilled from the round a role first
     appears).  Both engines feed the same counters, so for supported
-    algorithms the fast path's timeline is identical to the reference
+    algorithms the vectorised engine's timeline is identical to the reference
     engine's — asserted by the equivalence suites.
 
     Attributes
@@ -186,7 +186,7 @@ class RunTimeline:
     def record_sends(self, role: str, messages: int, tokens: int) -> None:
         """Account ``messages`` transmissions totalling ``tokens`` sent by
         ``role`` this round (the reference engine calls this per message,
-        the fast path once per role per round)."""
+        the vectorised engine once per role per round)."""
         if messages == 0:
             return
         self.messages[-1] += messages

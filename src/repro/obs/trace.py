@@ -11,8 +11,8 @@ by **both** engines.
 Engine-identical by construction
 --------------------------------
 The two engines deliver the same messages in different internal orders
-(the reference engine fills per-node inboxes, the fast path concatenates
-flat delivery arrays), so the recorded sender must not depend on
+(the reference engine fills per-node inboxes, the vectorised engine
+gathers CSR delivery segments), so the recorded sender must not depend on
 iteration order.  The canonical rule both engines apply:
 
 * a token held before round 0 is an **origin**: round −1, sender −1,
@@ -26,7 +26,7 @@ iteration order.  The canonical rule both engines apply:
 * the sender's role is its role in the **delivery-round** snapshot
   (``"flat"`` when the scenario has no hierarchy).
 
-This makes causal traces part of the fastpath⇄reference bit-identity
+This makes causal traces part of the vectorised⇄reference bit-identity
 guarantee, asserted registry-wide in ``tests/test_causal_trace.py``.
 
 Queries

@@ -1,32 +1,43 @@
-"""Columnar round kernels: whole-network rounds as a handful of array ops.
+"""The vectorised engine: whole-network rounds as a handful of array ops.
 
-The fast path (:mod:`repro.sim.fastpath`) already keeps every node's token
-set as a row of a packed ``(n, W)`` ``uint64`` bit-matrix, but its delivery
-step *expands* each broadcast into one payload row per edge
-(``np.repeat(payload, degrees)`` followed by an ``np.bitwise_or.at``
-scatter) — O(E·W) temporary memory and an unbuffered ufunc inner loop per
-round.  That is what caps sweeps at a few hundred nodes.
-
-This module is the third engine tier, ``engine="columnar"``.  Delivery
-becomes a boolean sparse-matrix product over the cached CSR topology
+``engine="columnar"`` and its alias ``engine="fast"`` both execute here.
+Every node's token set is a row of a packed ``(n, W)`` ``uint64``
+bit-matrix, and the per-algorithm send and absorb rules come from the
+kernel library :mod:`repro.sim.fastpath`.  Delivery is a boolean
+sparse-matrix product over the cached CSR topology
 (:class:`~repro.sim.topology.SnapshotArrays`): scatter the round's
 broadcast payloads into a dense ``(n, W)`` matrix, gather it through the
 CSR ``indices`` and OR-reduce each adjacency segment with one
 ``np.bitwise_or.reduceat`` — the boolean spmm ``A · P`` where ``A`` is the
 adjacency matrix and the OR is the boolean semiring's addition.  Role,
-phase and head/gateway/member logic are masked column operations (the send
-kernels of the fast path are reused verbatim — they were already
-columnar); receive-side rules become boolean masks over whole columns.
-No per-node Python runs inside the round loop, so a flooding round at
+phase and head/gateway/member logic are masked column operations.  No
+per-node Python runs inside the round loop, so a flooding round at
 n = 10⁶ is a few hundred milliseconds and an Algorithm-1 sweep at n = 10⁴
 is routine.
 
-**Bit-identity.**  OR-accumulation is order-independent, so for supported
-runs the columnar tier produces the same :class:`RunResult` as the fast
-path and the reference engine: outputs, metrics, timelines and
-``obs="record"`` recordings (asserted registry-wide in
-``tests/test_columnar.py``; nightly CI widens the sweep via
-``REPRO_EQUIV_ENGINES``).
+**Bit-identity.**  OR-accumulation is order-independent and every
+:class:`~repro.sim.linkmodel.LinkModel` decision is a pure counter-based
+hash of ``(seed, round, edge)``, so a supported run produces the same
+:class:`RunResult` as the reference engine: outputs, metrics, timelines,
+causal traces (``obs="trace"``), recordings (``obs="record"``) and
+monitor violation streams, under loss, churn, pinpoint faults and
+``latency > 1``.  The equivalence suites (``tests/test_columnar.py``,
+``test_fastpath.py``, ``test_obs.py``, ``test_causal_trace.py``,
+``test_monitors.py``, ``test_recorder.py``, ``test_linkmodel.py``) assert
+it against the reference engine; nightly CI widens the seed sweep.
+
+**Rounds.**  Each round runs the reference engine's stages, timed under
+the same names at ``obs="profile"``: ``topology`` (the round's CSR
+arrays), ``send`` (crash stage, kernel send, accounting, link
+transform), ``deliver`` (the spmm), ``receive`` (the kernel's absorb
+rule, crash re-zero, pinpoint faults) and ``bookkeeping`` (observers,
+coverage, monitors).  The link transform is a boolean mask over the CSR
+edge array, applied by zeroing suppressed gathered rows before the
+OR-reduce (zero rows are OR-neutral); crash-stop churn is row wipes plus
+a post-absorb re-zero of dead rows.  With latency ζ > 1 a round's traffic
+waits in flight and lands ζ − 1 rounds later: audiences, link decisions
+and sender liveness are fixed at transmission, while the absorb rule
+reads the landing round's roles and heads.
 
 **Sharding.**  For n ≥ 10⁵ the bit-matrix can be sharded into contiguous
 row blocks: each shard receives only the payload rows its adjacency
@@ -35,29 +46,26 @@ rows, remapped into a compact sub-matrix), reduces its block
 independently, and the per-round merge is a plain row concatenation.
 Shards run serially in-process by default (deterministic, zero setup
 cost) or across the persistent process pool of
-:class:`repro.experiments.parallel.ShardPool`.  Configure via
+:class:`repro.experiments.parallel.ShardPool`, whose workers report
+``worker<i>_deliver`` profile sections.  Configure via
 ``run_columnar(shards=…, shard_processes=…)`` or the environment
 (:data:`SHARDS_ENV_VAR`, :data:`SHARD_PROCESSES_ENV_VAR`).  Sharded and
 unsharded runs are bit-identical (OR is associative); the tests assert it
 at a fixed shard count.
 
-**Dispatch.**  :func:`try_run` mirrors the fast path's contract: factories
-tagged ``factory.fastpath = (kind, params)`` with a supported kind run
-columnar; anything else — untagged factories, adaptive networks,
-``SimTrace`` recording, ``latency > 1``, ``obs="trace"`` causal tracing,
-or attached monitors — returns ``None`` and the engine falls back
-(columnar → fastpath → reference), so every configuration still executes,
-just on the widest tier that supports it.  Link models (loss, churn,
-pinpoint faults) run natively: the per-round link transform is a boolean
-mask over the CSR edge array, applied by zeroing suppressed gathered rows
-before the OR-reduce (zero rows are OR-neutral), with crash-stop churn as
-row wipes plus a post-absorb re-zero of dead rows.
+**Dispatch.**  :func:`try_run` executes factories tagged
+``factory.fastpath = (kind, params)`` with a supported kind, on
+non-adaptive networks without ``SimTrace`` recording, at every ``obs``
+level; anything else returns ``None`` and the engine runs the reference
+path.  ``RunResult.algorithms`` is ``None`` here: there are no per-node
+objects to hand back.
 
 Networks may be array-native: when the network object exposes
 ``snapshot_arrays(r)`` (see :class:`~repro.sim.topology.CSRNetwork`), the
-columnar tier never materialises per-node frozensets at all — the memory
+engine never materialises per-node frozensets at all — the memory
 envelope per round is the bit-matrix (``n·W·8`` bytes) plus the CSR
 arrays plus one gathered ``(E, W)`` matrix (or its per-shard slices).
+Only attached monitors ask for the round's full ``network.snapshot(r)``.
 """
 
 from __future__ import annotations
@@ -68,23 +76,21 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from ..obs import Profiler, RunRecorder, RunTimeline
+from ..obs import CausalTrace, Profiler, RoundView, RunRecorder, RunTimeline
 from .engine import RunResult, SynchronousEngine, validate_run_args
 from .fastpath import (
-    _KERNELS,
+    _EMPTY_IDS,
+    _ROLE_NAME_BY_CODE,
     _ROLE_NAMES,
     _U1,
+    KERNELS,
     _account,
-    _Algorithm1Kernel,
-    _Algorithm2Kernel,
     _filter_batch_alive,
-    _FloodNewKernel,
-    _FullSetBroadcastKernel,
-    _KLOIntervalKernel,
+    _Landing,
     _rows_to_frozensets,
     _rows_tokens,
-    _row_tokens,
     _SendBatch,
+    supported_kinds,
 )
 from .linkmodel import LinkModel
 from .metrics import Metrics
@@ -272,141 +278,105 @@ def _shard_plan(
 
 
 # ---------------------------------------------------------------------------
-# columnar kernels: fastpath send logic + masked-column receive
+# link transform and observers
 # ---------------------------------------------------------------------------
 
-def _or_delivered_unicasts(target: np.ndarray, batch: _SendBatch) -> None:
-    """OR every *delivered* unicast payload into its destination row."""
-    if batch.uc_senders.size:
-        ok = batch.uc_ok
-        if ok.any():
-            np.bitwise_or.at(target, batch.uc_dests[ok], batch.uc_payload[ok])
+def _transmit(
+    r: int,
+    arrs: SnapshotArrays,
+    batch: _SendBatch,
+    link: Optional[LinkModel],
+    alive: Optional[np.ndarray],
+    metrics: Metrics,
+) -> _Landing:
+    """Pass one round's sends through the link: what survives the channel.
 
-
-class _AbsorbAll:
-    """Default columnar receive: OR every delivered payload into ``TA``.
-
-    ``recv`` is the neighbour-OR of all broadcast payloads (zero rows for
-    nodes nobody broadcast to — OR-neutral), so the unconditional OR
-    matches the reference rule "absorb everything you hear".
+    Candidates are deliveries to live receivers (the reference bills
+    losses only on those; dead receivers are silent and the post-absorb
+    re-zero handles them).  Broadcast losses become a per-edge keep-mask
+    over the CSR columns, unicast losses a filter on the delivered list.
     """
+    n = arrs.degrees.shape[0]
+    bc_full = np.zeros((n, batch.bc_payload.shape[1]), dtype=np.uint64)
+    bc_full[batch.bc_senders] = batch.bc_payload
+    delivered = batch.uc_ok
+    edge_keep: Optional[np.ndarray] = None
+    if link is not None:
+        is_bc = np.zeros(n, dtype=bool)
+        is_bc[batch.bc_senders] = True
+        snd_e = arrs.indices
+        recv_e = np.repeat(np.arange(n, dtype=np.int64), arrs.degrees)
+        cidx = np.flatnonzero(is_bc[snd_e] & alive[recv_e])
+        if cidx.size:
+            m = link.deliver_mask(r, snd_e[cidx], recv_e[cidx])
+            if m is not None and not m.all():
+                metrics.record_loss(int(m.size - int(m.sum())))
+                edge_keep = np.ones(snd_e.shape[0], dtype=bool)
+                edge_keep[cidx[~m]] = False
+        if batch.uc_senders.size:
+            delivered = delivered & alive[batch.uc_dests]
+            uidx = np.flatnonzero(delivered)
+            if uidx.size:
+                mu = link.deliver_mask(
+                    r, batch.uc_senders[uidx], batch.uc_dests[uidx]
+                )
+                if mu is not None and not mu.all():
+                    metrics.record_loss(int(mu.size - int(mu.sum())))
+                    delivered[uidx[~mu]] = False
+    return _Landing(
+        r, arrs, link, bc_full, edge_keep, batch.uc_senders[delivered],
+        batch.uc_dests[delivered], batch.uc_payload[delivered],
+    )
 
-    def absorb(
-        self,
-        r: int,
-        arrs: SnapshotArrays,
-        recv: np.ndarray,
-        bc_full: np.ndarray,
-        batch: _SendBatch,
-    ) -> None:
-        self.TA |= recv
-        _or_delivered_unicasts(self.TA, batch)
 
+def _record_causal(
+    causal: CausalTrace,
+    r: int,
+    roles: Optional[np.ndarray],
+    known: np.ndarray,
+    TA: np.ndarray,
+    land: Optional[_Landing],
+) -> None:
+    """Record this round's first-learn events from the bitset diff.
 
-class _ColumnarAlgorithm1(_AbsorbAll, _Algorithm1Kernel):
-    """Algorithm 1's receive rule as column masks.
-
-    The reference rule, per member: tokens broadcast by *your own head*
-    land in ``TA`` and ``TR``; overheard traffic lands in ``TA`` unless
-    ``strict``.  Non-members absorb everything.  The head contribution is
-    a single gather ``bc_full[head_of]`` masked by ``head_adjacent`` —
-    heads that stayed silent contribute an all-zero row, which ORs to a
-    no-op, exactly like no delivery.
-
-    Under a link model the head→member delivery re-evaluates the same
-    counter-based ``deliver_mask`` decision the CSR edge mask drew for
-    that (round, edge) — identical by construction, so the gather is
-    suppressed consistently and the loss is *not* billed twice (the edge
-    mask already counted it).
+    Mirrors the reference engine's attribution rule
+    (:meth:`repro.sim.engine.ActiveRun._record_causal`): for each token a
+    node gained this round, the sender is the minimum sender among the
+    round's *delivered* messages to that node whose payload carried the
+    token, falling back to the minimum deliverer (then −1); the sender's
+    role is read from this round's role codes.
     """
+    new = TA & ~known
+    changed = np.flatnonzero(new.any(axis=1))
+    if not changed.size:
+        return
+    rec = snd = _EMPTY_IDS
+    payload = np.empty((0, TA.shape[1]), dtype=np.uint64)
+    if land is not None:
+        rec, snd, payload = land.deliveries_to(changed)
+        order = np.lexsort((snd, rec))  # by receiver, then ascending sender
+        rec, snd, payload = rec[order], snd[order], payload[order]
+    los = np.searchsorted(rec, changed).tolist()
+    his = np.searchsorted(rec, changed, side="right").tolist()
+    for v, toks, lo, hi in zip(
+        changed.tolist(), _rows_tokens(new[changed]), los, his
+    ):
+        senders, carried = snd[lo:hi], payload[lo:hi]
+        fallback = int(senders[0]) if hi > lo else -1
+        for t in toks:
+            sender = fallback
+            if hi > lo:
+                bit = _U1 << np.uint64(t & 63)
+                carrying = np.flatnonzero(carried[:, t >> 6] & bit)
+                if carrying.size:
+                    sender = int(senders[carrying[0]])
+            if sender >= 0 and roles is not None:
+                role = _ROLE_NAME_BY_CODE[int(roles[sender])]
+            else:
+                role = "flat"
+            causal.record_learn(v, t, r, sender, role)
+    known |= new
 
-    link: Optional[LinkModel] = None  # injected by run_columnar
-
-    def absorb(self, r, arrs, recv, bc_full, batch):
-        member = self._member_mask(arrs)
-        if member is None:
-            self.TA |= recv
-            _or_delivered_unicasts(self.TA, batch)
-            return
-        if self.strict:
-            # masked in-place OR (ufunc ``where=``) — no gather/scatter copies
-            np.bitwise_or(self.TA, recv, out=self.TA, where=~member[:, None])
-        else:
-            self.TA |= recv
-        head_arr = self._head_arr(arrs)
-        if arrs.head_adjacent is not None:
-            listening = member & arrs.head_adjacent
-            if listening.any() and self.link is not None:
-                ids = np.nonzero(listening)[0]
-                m = self.link.deliver_mask(r, head_arr[ids], ids)
-                if m is not None and not m.all():
-                    listening[ids[~m]] = False
-            if listening.any():
-                keep = listening[:, None]
-                from_head = bc_full[head_arr]
-                np.bitwise_or(self.TA, from_head, out=self.TA, where=keep)
-                np.bitwise_or(self.TR, from_head, out=self.TR, where=keep)
-        if batch.uc_senders.size and batch.uc_ok.any():
-            ok = batch.uc_ok
-            dests = batch.uc_dests[ok]
-            snds = batch.uc_senders[ok]
-            pay = batch.uc_payload[ok]
-            memb_d = member[dests]
-            if (~memb_d).any():
-                np.bitwise_or.at(self.TA, dests[~memb_d], pay[~memb_d])
-            uc_from_head = memb_d & (head_arr[dests] == snds)
-            if uc_from_head.any():
-                np.bitwise_or.at(self.TA, dests[uc_from_head], pay[uc_from_head])
-                np.bitwise_or.at(self.TR, dests[uc_from_head], pay[uc_from_head])
-            if not self.strict:
-                overheard = memb_d & ~uc_from_head
-                if overheard.any():
-                    np.bitwise_or.at(self.TA, dests[overheard], pay[overheard])
-
-
-class _ColumnarAlgorithm2(_AbsorbAll, _Algorithm2Kernel):
-    pass
-
-
-class _ColumnarKLOInterval(_AbsorbAll, _KLOIntervalKernel):
-    pass
-
-
-class _ColumnarFullSet(_AbsorbAll, _FullSetBroadcastKernel):
-    pass
-
-
-class _ColumnarFloodNew(_FloodNewKernel):
-    """Epidemic flooding: only never-seen tokens re-arm the fresh set."""
-
-    def absorb(self, r, arrs, recv, bc_full, batch):
-        novel = recv & ~self.TA
-        self.TA |= novel
-        self.fresh |= novel
-
-
-_COLUMNAR_KERNELS = {
-    "algorithm1": lambda n, k, W, TA, **p: _ColumnarAlgorithm1(n, k, W, TA, **p),
-    "algorithm1_stable": lambda n, k, W, TA, **p: _ColumnarAlgorithm1(
-        n, k, W, TA, stable=True, **p
-    ),
-    "algorithm2": lambda n, k, W, TA, **p: _ColumnarAlgorithm2(n, k, W, TA, **p),
-    "klo_interval": lambda n, k, W, TA, **p: _ColumnarKLOInterval(n, k, W, TA, **p),
-    "klo_one": lambda n, k, W, TA, M: _ColumnarFullSet(n, k, W, TA, M=M),
-    "flood_all": lambda n, k, W, TA: _ColumnarFullSet(n, k, W, TA, M=None),
-    "flood_new": lambda n, k, W, TA: _ColumnarFloodNew(n, k, W, TA),
-}
-assert set(_COLUMNAR_KERNELS) == set(_KERNELS)
-
-
-def supported_kinds() -> Tuple[str, ...]:
-    """The ``factory.fastpath`` kinds the columnar tier can execute."""
-    return tuple(sorted(_COLUMNAR_KERNELS))
-
-
-# ---------------------------------------------------------------------------
-# recording from arrays (no Snapshot required)
-# ---------------------------------------------------------------------------
 
 def _packed_hierarchy(
     arrs: SnapshotArrays, memo: Dict[int, Tuple[object, tuple]]
@@ -425,32 +395,25 @@ def _packed_hierarchy(
         roles = _ROLE_CHAR_LUT[arrs.roles.astype(np.int64)].tobytes().decode("ascii")
     head_of = None
     if arrs.head_of is not None:
-        head_of = tuple(int(h) for h in arrs.head_of.tolist())
+        head_of = tuple(arrs.head_of.tolist())
     memo[key] = (arrs, (roles, head_of))
     return roles, head_of
 
 
 def _record_batch(recorder: RunRecorder, batch: _SendBatch) -> None:
-    """Feed one round's send batch to the recorder (fastpath's encoding)."""
-    bc_tokens = _rows_tokens(batch.bc_payload)
-    for i in range(len(batch.bc_senders)):
-        cost = int(batch.bc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.bc_senders[i]), "b", None, bc_tokens[i], cost
-            )
-    uc_tokens = _rows_tokens(batch.uc_payload)
-    for i in range(len(batch.uc_senders)):
-        cost = int(batch.uc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.uc_senders[i]), "u", int(batch.uc_dests[i]),
-                uc_tokens[i], cost,
-            )
+    """Feed one round's send batch to the recorder."""
+    recorder.record_sends(
+        "b", batch.bc_senders.tolist(), [-1] * len(batch.bc_senders),
+        _rows_tokens(batch.bc_payload), batch.bc_costs.tolist(),
+    )
+    recorder.record_sends(
+        "u", batch.uc_senders.tolist(), batch.uc_dests.tolist(),
+        _rows_tokens(batch.uc_payload), batch.uc_costs.tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
-# the columnar engine loop
+# the round loop
 # ---------------------------------------------------------------------------
 
 def _env_int(var: str) -> Optional[int]:
@@ -489,8 +452,8 @@ def _absorb_shard_events(
 
     Worker pids are mapped to stable small indices in arrival order, so a
     profiled sharded run grows ``worker0_deliver``, ``worker1_deliver``, …
-    sections holding each process's cumulative kernel wall-clock — the
-    breakdown of what used to be opaque inside ``shard_merge``.
+    sections holding each process's cumulative kernel wall-clock — a
+    per-worker breakdown of the ``deliver`` section.
     """
     for event in events:
         pid = event.get("pid")
@@ -517,8 +480,9 @@ def run_columnar(
     shards: Optional[int] = None,
     shard_processes: Optional[int] = None,
     materialize_outputs: bool = True,
+    monitors: Optional[Sequence] = None,
 ) -> RunResult:
-    """Execute a packed-state run on the columnar tier.
+    """Execute a packed-state run on the vectorised engine.
 
     The low-level entry point: ``TA`` is the ``(n, W)`` initial bit-matrix
     (see :func:`pack_rows` / :func:`pack_single_tokens`) and ``kind`` /
@@ -532,11 +496,13 @@ def run_columnar(
     ``shard_processes`` > 1 reduces them on a persistent
     :class:`~repro.experiments.parallel.ShardPool`.  Both default to the
     :data:`SHARDS_ENV_VAR` / :data:`SHARD_PROCESSES_ENV_VAR` environment.
+    ``monitors`` are fed one :class:`~repro.obs.RoundView` per round,
+    exactly as :meth:`SynchronousEngine.run` feeds them.
     """
     n, W = TA.shape
-    if kind not in _COLUMNAR_KERNELS:
+    if kind not in KERNELS:
         raise ValueError(f"unsupported columnar kernel kind {kind!r}")
-    kernel = _COLUMNAR_KERNELS[kind](n, k, W, TA, **params)
+    kernel = KERNELS[kind](n, k, W, TA, **params)
     if shards is None:
         shards = _env_int(SHARDS_ENV_VAR)
     if shard_processes is None:
@@ -560,31 +526,74 @@ def run_columnar(
     metrics = Metrics()
     timeline = RunTimeline() if engine.obs != "off" else None
     prof = Profiler() if engine.obs == "profile" else None
+    causal: Optional[CausalTrace] = None
+    known: Optional[np.ndarray] = None
+    if engine.obs == "trace":
+        causal = CausalTrace(n=n, k=k)
+        for v, toks in enumerate(_rows_tokens(TA)):
+            for t in toks:
+                causal.record_origin(v, t)
+        known = TA.copy()
     recorder: Optional[RunRecorder] = None
     rec_known: Optional[np.ndarray] = None
     if engine.obs == "record":
-        recorder = RunRecorder(
-            n, k, {v: frozenset(_row_tokens(TA[v])) for v in range(n)}
-        )
+        recorder = RunRecorder(n, k, dict(enumerate(_rows_to_frozensets(TA))))
         rec_known = TA.copy()
+    monitors = list(monitors) if monitors else []
     pack_memo: Dict[int, Tuple[object, tuple]] = {}
     plan_memo: Dict[int, Tuple[object, list]] = {}
     link = engine.link_for("columnar")
     alive: Optional[np.ndarray] = None
     if link is not None:
         alive = np.ones(n, dtype=bool)
-        kernel.link = link  # head-listening gathers re-draw edge decisions
+    latency = engine.latency
+    in_flight: Dict[int, _Landing] = {}
     coverage = 0
     executed = 0
+
+    def lap(section: str, t0: float) -> float:
+        now = time.perf_counter()
+        prof.add(section, now - t0)
+        return now
+
+    def deliver(land: _Landing) -> np.ndarray:
+        """The spmm: every node's OR of the broadcasts it received."""
+        arrs = land.arrs
+        if not sharded:
+            return _segment_or(
+                arrs.indptr[:-1], arrs.indices, arrs.degrees, land.bc_full,
+                land.edge_keep,
+            )
+        hit = plan_memo.get(id(arrs))
+        if hit is None or hit[0] is not arrs:
+            hit = (arrs, _shard_plan(arrs, shards))
+            plan_memo[id(arrs)] = hit
+        # boundary exchange: slice each shard's needed rows
+        items = [
+            (
+                ls, seg, deg, land.bc_full[needed],
+                None if land.edge_keep is None else land.edge_keep[elo:ehi],
+            )
+            for ls, seg, deg, needed, elo, ehi in hit[1]
+        ]
+        if pool is None:
+            outs = [_shard_deliver(item) for item in items]
+        elif telemetry_q is not None:
+            outs = pool.map(
+                _shard_deliver_traced,
+                [(land.r, i, it) for i, it in enumerate(items)],
+            )
+            _absorb_shard_events(pool.drain(), prof, stream, worker_ids)
+        else:
+            outs = pool.map(_shard_deliver, items)
+        return np.concatenate(outs, axis=0)
 
     try:
         for r in range(max_rounds):
             t0 = time.perf_counter() if prof is not None else 0.0
             arrs = _arrays_for_round(network, r, n)
             if prof is not None:
-                now = time.perf_counter()
-                prof.add("topology", now - t0)
-                t0 = now
+                t0 = lap("topology", t0)
             metrics.begin_round()
             if timeline is not None:
                 timeline.begin_round()
@@ -597,135 +606,53 @@ def run_columnar(
                 recorder.begin_round_packed(*_packed_hierarchy(arrs, pack_memo))
 
             # --- crash stage (before sends: crashed nodes never act) -----
+            newly_crashed = _EMPTY_IDS
+            crash_tokens = 0
+            lost_before = metrics.lost_deliveries
             if link is not None:
-                crashed = link.crashes(r, alive)
-                if len(crashed):
-                    alive[crashed] = False
-                    kernel.TA[crashed] = 0
-                    metrics.record_crashes(len(crashed))
+                newly_crashed = link.crashes(r, alive)
+                if len(newly_crashed):
+                    alive[newly_crashed] = False
+                    crash_tokens = int(
+                        np.bitwise_count(kernel.TA[newly_crashed]).sum()
+                    )
+                    kernel.TA[newly_crashed] = 0
+                    metrics.record_crashes(len(newly_crashed))
 
             batch = kernel.send(r, arrs)
             if batch is not None and alive is not None:
                 batch = _filter_batch_alive(batch, alive)
-            if prof is not None:
-                now = time.perf_counter()
-                prof.add("role_mask", now - t0)
-                t0 = now
             if batch is not None and batch.messages:
                 _account(metrics, batch, arrs, timeline)
                 if recorder is not None:
                     _record_batch(recorder, batch)
-                # --- link transform: per-edge masks over the CSR columns -
-                edge_keep: Optional[np.ndarray] = None
-                absorb_batch = batch
-                if link is not None:
-                    is_bc = np.zeros(n, dtype=bool)
-                    is_bc[batch.bc_senders] = True
-                    snd_e = arrs.indices
-                    recv_e = np.repeat(
-                        np.arange(n, dtype=np.int64), arrs.degrees
-                    )
-                    # candidates: broadcast edges with a live receiver (the
-                    # reference bills losses only on those; dead receivers
-                    # are silent and the post-absorb re-zero handles them)
-                    cand = is_bc[snd_e] & alive[recv_e]
-                    cidx = np.flatnonzero(cand)
-                    if cidx.size:
-                        m = link.deliver_mask(r, snd_e[cidx], recv_e[cidx])
-                        if m is not None and not m.all():
-                            metrics.record_loss(int(m.size - int(m.sum())))
-                            edge_keep = np.ones(snd_e.shape[0], dtype=bool)
-                            edge_keep[cidx[~m]] = False
-                    if batch.uc_senders.size:
-                        ok = batch.uc_ok
-                        delivered = ok & alive[batch.uc_dests]
-                        uidx = np.flatnonzero(delivered)
-                        if uidx.size:
-                            mu = link.deliver_mask(
-                                r, batch.uc_senders[uidx], batch.uc_dests[uidx]
-                            )
-                            if mu is not None and not mu.all():
-                                metrics.record_loss(
-                                    int(mu.size - int(mu.sum()))
-                                )
-                                delivered[uidx[~mu]] = False
-                        if not np.array_equal(delivered, ok):
-                            absorb_batch = _SendBatch(
-                                batch.bc_senders, batch.bc_payload,
-                                batch.bc_costs, batch.uc_senders,
-                                batch.uc_dests, delivered,
-                                batch.uc_payload, batch.uc_costs,
-                            )
-                # pack: scatter broadcast payloads to a dense (n, W) matrix
-                bc_full = np.zeros((n, W), dtype=np.uint64)
-                if batch.bc_senders.size:
-                    bc_full[batch.bc_senders] = batch.bc_payload
+                in_flight[r + latency - 1] = _transmit(
+                    r, arrs, batch, link, alive, metrics
+                )
+            if prof is not None:
+                t0 = lap("send", t0)
+
+            land = in_flight.pop(r, None)
+            if land is not None:
+                land.recv = deliver(land)
                 if prof is not None:
-                    now = time.perf_counter()
-                    prof.add("pack", now - t0)
-                    t0 = now
-                if sharded:
-                    hit = plan_memo.get(id(arrs))
-                    if hit is None or hit[0] is not arrs:
-                        hit = (arrs, _shard_plan(arrs, shards))
-                        plan_memo[id(arrs)] = hit
-                    # boundary exchange: slice each shard's needed rows
-                    items = [
-                        (
-                            ls, seg, deg, bc_full[needed],
-                            None if edge_keep is None else edge_keep[elo:ehi],
-                        )
-                        for ls, seg, deg, needed, elo, ehi in hit[1]
-                    ]
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("shard_merge", now - t0)
-                        t0 = now
-                    if pool is not None:
-                        if telemetry_q is not None:
-                            outs = pool.map(
-                                _shard_deliver_traced,
-                                [(r, i, it) for i, it in enumerate(items)],
-                            )
-                            _absorb_shard_events(
-                                pool.drain(), prof, stream, worker_ids
-                            )
-                        else:
-                            outs = pool.map(_shard_deliver, items)
-                    else:
-                        outs = [_shard_deliver(item) for item in items]
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("spmm_delivery", now - t0)
-                        t0 = now
-                    recv = np.concatenate(outs, axis=0)
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("shard_merge", now - t0)
-                        t0 = now
-                else:
-                    recv = _segment_or(
-                        arrs.indptr[:-1], arrs.indices, arrs.degrees, bc_full,
-                        edge_keep,
-                    )
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("spmm_delivery", now - t0)
-                        t0 = now
-                kernel.absorb(r, arrs, recv, bc_full, absorb_batch)
-                if prof is not None:
-                    now = time.perf_counter()
-                    prof.add("role_mask", now - t0)
-                    t0 = now
+                    t0 = lap("deliver", t0)
+                kernel.absorb(arrs, land)
             if alive is not None and not alive.all():
                 # dead receivers may have absorbed via the multi-input
                 # gathers; OR-neutral re-zero restores crash-stop semantics
                 kernel.TA[~alive] = 0
             if link is not None:
-                # pinpoint perturbations — same hook as the other tiers
+                # pinpoint perturbations: XOR always changes state, so
+                # divergence happens at exactly this round/node
                 for fv, ft in link.faults(r):
-                    if alive is None or alive[fv]:
+                    if alive[fv]:
                         kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
+            if prof is not None:
+                t0 = lap("receive", t0)
+
+            if causal is not None:
+                _record_causal(causal, r, arrs.roles, known, kernel.TA, land)
             if recorder is not None:
                 new = kernel.TA & ~rec_known
                 dropped = rec_known & ~kernel.TA
@@ -745,15 +672,41 @@ def run_columnar(
                 timeline.end_round(coverage, nodes_complete)
                 if stream is not None:
                     stream.on_round(timeline)
+            if monitors:
+                faults_info = None
+                if link is not None:
+                    faults_info = {
+                        "crashed": tuple(int(x) for x in newly_crashed),
+                        "crash_tokens": crash_tokens,
+                        "lost": metrics.lost_deliveries - lost_before,
+                    }
+                view = RoundView(
+                    round_index=r,
+                    snap=network.snapshot(r),
+                    coverage=coverage,
+                    nodes_complete=nodes_complete,
+                    per_node=per_node.tolist(),
+                    n=n,
+                    k=k,
+                    faults=faults_info,
+                    tokens_sent=metrics.tokens_sent,
+                    messages_sent=metrics.messages_sent,
+                )
+                for monitor in monitors:
+                    before = len(monitor.violations)
+                    monitor.observe(view)
+                    if stream is not None:
+                        for violation in monitor.violations[before:]:
+                            stream.alert(violation)
             executed = r + 1
             if prof is not None:
-                prof.add("bookkeeping", time.perf_counter() - t0)
+                lap("bookkeeping", t0)
             alive_n = n if alive is None else int(alive.sum())
             if coverage == alive_n * k and (alive is None or alive_n > 0):
                 metrics.mark_complete()
                 if stop_when_complete:
                     break
-            if stop_when_finished and kernel.finished(r):
+            if stop_when_finished and not in_flight and kernel.finished(r):
                 break
     finally:
         if pool is not None:
@@ -778,6 +731,11 @@ def run_columnar(
     else:
         outputs = {}
         complete = alive_n > 0 and coverage == alive_n * k
+    violations = None
+    if monitors:
+        for monitor in monitors:
+            monitor.finish(executed, complete)
+        violations = [v for m in monitors for v in m.violations]
     return RunResult(
         n=n,
         k=k,
@@ -786,9 +744,9 @@ def run_columnar(
         complete=complete,
         trace=None,
         timeline=timeline,
-        causal_trace=None,
+        causal_trace=causal,
         recording=recorder.finish() if recorder is not None else None,
-        violations=None,
+        violations=violations,
         algorithms=None,
     )
 
@@ -804,32 +762,20 @@ def try_run(
     stop_when_finished: bool = True,
     monitors=None,
 ) -> Optional[RunResult]:
-    """Execute a run on the columnar tier, or return ``None`` if unsupported.
+    """Run on the vectorised engine, or return ``None`` if unsupported.
 
     Supported: factories tagged with a known ``factory.fastpath`` kind on
-    non-adaptive networks, unit-latency channels, and ``obs`` in
-    {``off``, ``timeline``, ``record``, ``profile``}.  Link models (loss,
-    churn, pinpoint faults) run natively as per-edge mask arrays over the
-    CSR columns; ``obs="trace"``, ``latency > 1``, runtime monitors and
-    ``SimTrace`` recording fall back (the fast path supports them all and
-    stays bit-identical).  ``None`` is only returned before the first
-    round.
+    non-adaptive networks without ``SimTrace`` recording — at every
+    ``obs`` level, with monitors, at any latency and under any link
+    model.  ``None`` is only returned before the first round, so monitor
+    state is untouched when the engine falls back to the reference path.
     """
     spec = getattr(factory, "fastpath", None)
-    if spec is None:
-        return None
-    kind, params = spec
-    if kind not in _COLUMNAR_KERNELS:
+    if spec is None or spec[0] not in KERNELS:
         return None
     if engine.record_trace or engine.record_knowledge:
         return None
     if getattr(network, "adaptive_snapshot", None) is not None:
-        return None
-    if engine.latency != 1:
-        return None
-    if engine.obs == "trace":
-        return None
-    if monitors:
         return None
 
     n = network.n
@@ -838,8 +784,10 @@ def try_run(
     for node, toks in initial.items():
         for t in toks:
             TA[node, t >> 6] |= _U1 << np.uint64(t & 63)
+    kind, params = spec
     return run_columnar(
         engine, network, kind, params, k, TA, max_rounds,
         stop_when_complete=stop_when_complete,
         stop_when_finished=stop_when_finished,
+        monitors=monitors,
     )

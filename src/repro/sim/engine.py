@@ -30,7 +30,7 @@ Delivery semantics
   :class:`~repro.sim.linkmodel.IidLoss` model (the send is still
   billed for suppressed deliveries).  Every round decomposes as
   topology-view → send-intents → link transform → absorb → role-update,
-  identically on all three engine tiers.
+  identically on the reference engine and the vectorised engine.
 
 Execution comes in two forms: :meth:`SynchronousEngine.run` executes a
 whole budget, and :meth:`SynchronousEngine.start` returns an
@@ -263,8 +263,8 @@ class ActiveRun:
         the minimum sender id among this round's deliverers carrying the
         token, falling back to the minimum deliverer (then −1), with the
         sender's role read from this round's snapshot.  Min-based, so the
-        result is independent of inbox iteration order — the fast path
-        computes the same events from its flat delivery arrays.
+        result is independent of inbox iteration order — the vectorised
+        engine computes the same events from its CSR delivery segments.
         """
         causal = self.causal
         known = self._known
@@ -570,7 +570,7 @@ class SynchronousEngine:
     link:
         A :class:`~repro.sim.linkmodel.LinkModel` applied to every round's
         candidate deliveries (loss), node population (crash-stop churn)
-        and post-absorb state (pinpoint faults).  All three engine tiers
+        and post-absorb state (pinpoint faults).  Both execution paths
         apply the same counter-based decisions, so faulty runs keep the
         registry-wide bit-identity guarantee.  ``None`` (default) is the
         identity channel.
@@ -593,16 +593,13 @@ class SynchronousEngine:
         synchronous model used by the paper's analysis.
     engine:
         ``"reference"`` (default) executes per-node algorithm objects as
-        documented above.  ``"fast"`` routes :meth:`run` through the
-        vectorised bitset kernels of :mod:`repro.sim.fastpath` when the
-        algorithm family supports them (results are bit-identical; see
-        docs/performance.md), silently falling back to the reference path
-        otherwise.  ``"columnar"`` additionally routes supported runs
-        through the packed bit-matrix / CSR-spmm kernels of
-        :mod:`repro.sim.columnar` (million-node scale, optionally
-        sharded; also bit-identical), falling back columnar → fast →
-        reference for anything a tier does not support.  :meth:`start`
-        always steps the reference engine — the vectorised paths have no
+        documented above.  ``"columnar"`` routes :meth:`run` through the
+        vectorised engine of :mod:`repro.sim.columnar` (packed
+        bit-matrix state, CSR-spmm delivery, optionally sharded; results
+        are bit-identical — see docs/performance.md) when the algorithm
+        family has a kernel, and runs the reference path otherwise.
+        ``"fast"`` is an alias for ``"columnar"``.  :meth:`start` always
+        steps the reference engine — the vectorised engine has no
         per-round inspection surface.
     obs:
         Telemetry level (see :mod:`repro.obs`): ``"timeline"`` (default)
@@ -615,11 +612,11 @@ class SynchronousEngine:
         ``"profile"`` times the round loop's sections, ``"off"`` records
         nothing.  Both execution paths feed the same counters, trace
         events and recordings, so timelines, causal traces *and*
-        recordings join the fast-path equivalence guarantee.
+        recordings join the vectorised engine's equivalence guarantee.
     stream:
         A :class:`~repro.obs.stream.TelemetryBus` fed live while the run
-        executes: one ``round`` event after every executed round (all
-        three tiers publish the same
+        executes: one ``round`` event after every executed round (both
+        execution paths publish the same
         :meth:`~repro.obs.RunTimeline.round_event` dicts), an ``alert``
         per fresh monitor violation, and the closing ``summary`` when
         :meth:`run` returns.  Requires ``obs != "off"`` (round events
@@ -675,9 +672,8 @@ class SynchronousEngine:
     def link_for(self, tier: str) -> Optional[LinkModel]:
         """The link model ``tier`` should apply (None on the benign path).
 
-        Folds in the deprecated ``REPRO_FASTPATH_FAULT`` env alias, which
-        targets only the vectorised tiers (see
-        :func:`repro.sim.linkmodel.env_fault`).
+        ``"fast"`` and ``"columnar"`` name the same vectorised engine (see
+        :func:`repro.sim.linkmodel.effective_link`).
         """
         return effective_link(self.link, tier)
 
@@ -745,36 +741,20 @@ class SynchronousEngine:
             violations land in :attr:`RunResult.violations`.  Both
             execution paths build identical views.
         """
-        if self.engine_mode in ("fast", "columnar"):
-            result = None
-            if self.engine_mode == "columnar":
-                from . import columnar
+        if self.engine_mode != "reference":
+            from . import columnar
 
-                result = columnar.try_run(
-                    self,
-                    network,
-                    factory,
-                    k,
-                    initial,
-                    max_rounds,
-                    stop_when_complete=stop_when_complete,
-                    stop_when_finished=stop_when_finished,
-                    monitors=monitors,
-                )
-            if result is None:
-                from . import fastpath
-
-                result = fastpath.try_run(
-                    self,
-                    network,
-                    factory,
-                    k,
-                    initial,
-                    max_rounds,
-                    stop_when_complete=stop_when_complete,
-                    stop_when_finished=stop_when_finished,
-                    monitors=monitors,
-                )
+            result = columnar.try_run(
+                self,
+                network,
+                factory,
+                k,
+                initial,
+                max_rounds,
+                stop_when_complete=stop_when_complete,
+                stop_when_finished=stop_when_finished,
+                monitors=monitors,
+            )
             if result is not None:
                 if self.stream is not None:
                     self.stream.end_run(result)

@@ -1,4 +1,4 @@
-"""Vectorised bitset execution for the token-dissemination algorithm family.
+"""Vectorised bitset kernels for the token-dissemination algorithm family.
 
 The reference engine (:mod:`repro.sim.engine`) dispatches per-node Python
 objects exchanging ``frozenset`` token sets — ideal for clarity and for
@@ -11,65 +11,39 @@ baselines, and the two flooding baselines) as vectorised kernels:
   set union is ``|``, difference is ``& ~``, and cardinality is a popcount;
 * per-round topology comes from the memoized CSR arrays of
   :meth:`repro.sim.topology.Snapshot.arrays`;
-* send/receive for all ``n`` nodes are a handful of numpy array operations
-  instead of ``2n`` Python method calls.
+* :meth:`_Kernel.send` emits every node's transmission for a round as one
+  :class:`_SendBatch`, and :meth:`_Kernel.absorb` applies the algorithm's
+  receive rule to one :class:`_Landing` (the round's delivered traffic)
+  as masked column operations — no per-node Python in either.
 
-**Bit-identical results.**  For supported algorithms the fast path
-reproduces the reference engine exactly: the same :class:`RunResult`
-outputs, the same :class:`~repro.sim.metrics.Metrics` (token/message
-counts, per-role breakdown, per-round series, completion round), the same
-:class:`~repro.obs.RunTimeline` telemetry (coverage timeline, per-role
-per-round counters, hierarchy populations), the same
-:class:`~repro.obs.CausalTrace` first-learn events at ``obs="trace"``
-(recorded natively from the bitset diff ``TA & ~known`` with the same
-min-sender attribution rule — the fast path does *not* fall back for
-causal tracing), the same :class:`~repro.obs.RunRecording` at
-``obs="record"`` (per-round knowledge deltas from the bitset diff, roles,
-and canonically ordered messages decoded from the send batches — asserted
-bit-identical registry-wide in ``tests/test_recorder.py``), the same
-monitor :class:`~repro.obs.Violation` streams,
-the same drop/loss accounting, and — because every
-:class:`~repro.sim.linkmodel.LinkModel` decision is a pure counter-based
-hash of ``(seed, round, edge)`` rather than a sequential RNG stream — the
-same behaviour under loss, churn, pinpoint faults and ``latency > 1``.
-The equivalence suites in ``tests/test_fastpath.py``, ``tests/test_obs.py``,
-``tests/test_causal_trace.py`` and ``tests/test_linkmodel.py`` assert this
-across algorithms, generators, seeds and scenario families.
-
-**Dispatch.**  Factories built by the ``make_*_factory`` helpers carry a
-``factory.fastpath = (kind, params)`` tag.  :func:`try_run` executes the
-matching kernel, or returns ``None`` — letting the engine fall back to the
-reference path — when the factory is untagged (custom algorithms), when a
-:class:`~repro.sim.trace.SimTrace` recording was requested
-(``record_trace`` / ``record_knowledge``), or when the network is adaptive
-(the adversary hook needs per-node Python state).
-``RunResult.algorithms`` is ``None`` on the fast path: there are no
-per-node objects to hand back.
+This is a kernel library, not an engine: the round loop that runs these
+kernels — crash stage, accounting, link transform, CSR delivery,
+observers — is :func:`repro.sim.columnar.run_columnar`, which both
+``engine="fast"`` and ``engine="columnar"`` select.  Factories built by
+the ``make_*_factory`` helpers carry a ``factory.fastpath = (kind,
+params)`` tag naming their kernel (see :func:`supported_kinds`).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import CausalTrace, Profiler, RoundView, RunRecorder, RunTimeline
-from .engine import RunResult, SynchronousEngine, validate_run_args
-
-# FAULT_ENV_VAR is re-exported for backward compatibility: the hook is now
-# the PinpointFault link model (see repro.sim.linkmodel.env_fault).
-from .linkmodel import FAULT_ENV_VAR, LinkModel
+from ..obs import RunTimeline
 from .metrics import Metrics, RoleCost
 from .topology import SnapshotArrays
 
-__all__ = ["FAULT_ENV_VAR", "supported_kinds", "try_run"]
+__all__ = ["supported_kinds"]
 
 _U1 = np.uint64(1)
 
-_ROLE_HEAD, _ROLE_GATEWAY, _ROLE_MEMBER = 0, 1, 2
+_ROLE_MEMBER = 2
 _ROLE_NAMES = ((0, "head"), (1, "gateway"), (2, "member"))
 _ROLE_NAME_BY_CODE = {code: name for code, name in _ROLE_NAMES}
+
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_EMPTY_BOOL = np.empty(0, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +88,26 @@ def _rows_to_frozensets(bits: np.ndarray) -> List[FrozenSet[int]]:
     )
     return [frozenset(np.nonzero(row)[0].tolist()) for row in unpacked]
 
+def _rows_tokens(rows: np.ndarray) -> List[List[int]]:
+    """Decode an (m, words) uint64 bitset matrix to per-row sorted token
+    lists in one vectorised pass (one ``unpackbits`` + one ``nonzero``
+    instead of m Python word walks — the recording hot path decodes
+    every message payload of every round)."""
+    m = rows.shape[0]
+    out: List[List[int]] = [[] for _ in range(m)]
+    if m == 0:
+        return out
+    bits = np.unpackbits(
+        np.ascontiguousarray(rows, dtype="<u8").view(np.uint8),
+        axis=1, bitorder="little",
+    )
+    for i, t in zip(*(ix.tolist() for ix in np.nonzero(bits))):
+        out[i].append(t)
+    return out
+
 
 # ---------------------------------------------------------------------------
-# per-round send batches
+# per-round send batches and landings
 # ---------------------------------------------------------------------------
 
 class _SendBatch:
@@ -157,10 +148,6 @@ class _SendBatch:
         return len(self.bc_senders) + len(self.uc_senders)
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_BOOL = np.empty(0, dtype=bool)
-
-
 def _broadcast_batch(senders: np.ndarray, payload: np.ndarray, costs: np.ndarray) -> _SendBatch:
     W = payload.shape[1] if payload.ndim == 2 else 1
     empty_rows = np.empty((0, W), dtype=np.uint64)
@@ -168,6 +155,118 @@ def _broadcast_batch(senders: np.ndarray, payload: np.ndarray, costs: np.ndarray
         senders, payload, costs,
         _EMPTY_IDS, _EMPTY_IDS, _EMPTY_BOOL, empty_rows, _EMPTY_IDS,
     )
+
+
+def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
+    """Drop transmissions whose sender crashed — crashed nodes never send."""
+    bk = alive[batch.bc_senders]
+    uk = alive[batch.uc_senders]
+    if bk.all() and uk.all():
+        return batch
+    return _SendBatch(
+        batch.bc_senders[bk], batch.bc_payload[bk], batch.bc_costs[bk],
+        batch.uc_senders[uk], batch.uc_dests[uk], batch.uc_ok[uk],
+        batch.uc_payload[uk], batch.uc_costs[uk],
+    )
+
+
+def _adjacent(
+    arrs: SnapshotArrays, rec: np.ndarray, snd: np.ndarray
+) -> np.ndarray:
+    """Whether ``snd[i]`` is a neighbour of ``rec[i]`` in ``arrs``.
+
+    Each CSR row is sorted, so the flattened ``(row, column)`` keys are
+    sorted too and one ``searchsorted`` answers every query.
+    """
+    n = arrs.degrees.shape[0]
+    keys = np.repeat(np.arange(n, dtype=np.int64), arrs.degrees) * n
+    keys += arrs.indices
+    query = rec.astype(np.int64) * n + snd
+    if keys.size == 0:
+        return np.zeros(query.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return keys[pos] == query
+
+
+class _Landing:
+    """One transmission round's delivered traffic, absorbed when it lands.
+
+    The round loop builds it at transmission round ``r`` after the link
+    transform: ``bc_full`` holds every broadcaster's payload row (zero
+    rows for silent nodes), ``edge_keep`` marks the CSR edges of ``arrs``
+    whose delivery the link kept (``None`` = all kept) and the ``uc_*``
+    arrays list the unicasts delivered.  Its delivery stage then fills
+    ``recv``, each node's OR of the broadcasts it received.  With
+    ``latency > 1`` the landing round comes later than ``r``: audiences
+    and link decisions stay those of round ``r``, while the absorbing
+    kernel reads roles and heads from the landing round.
+    """
+
+    __slots__ = ("r", "arrs", "link", "bc_full", "edge_keep",
+                 "uc_senders", "uc_dests", "uc_payload", "recv")
+
+    def __init__(self, r, arrs, link, bc_full, edge_keep,
+                 uc_senders, uc_dests, uc_payload) -> None:
+        self.r = r
+        self.arrs = arrs
+        self.link = link
+        self.bc_full = bc_full
+        self.edge_keep = edge_keep
+        self.uc_senders = uc_senders
+        self.uc_dests = uc_dests
+        self.uc_payload = uc_payload
+        self.recv: Optional[np.ndarray] = None
+
+    def heard_heads(
+        self, arrs: SnapshotArrays, member: np.ndarray
+    ) -> np.ndarray:
+        """Members of ``arrs`` whose head's broadcast edge reached them.
+
+        ``arrs`` is the landing round's topology.  At unit latency it is
+        the transmission round's own, so ``head_adjacent`` answers
+        adjacency; otherwise the landing round's heads are looked up in
+        the transmission round's CSR.  Under a link model the head→member
+        delivery re-evaluates the same counter-based decision the edge
+        mask drew for that (round, edge), so it is suppressed consistently
+        and never billed twice.
+        """
+        head = arrs.head_of
+        if arrs is self.arrs:
+            listening = member & arrs.head_adjacent
+        else:
+            listening = member & (head >= 0)
+            ids = np.flatnonzero(listening)
+            listening[ids[~_adjacent(self.arrs, ids, head[ids])]] = False
+        if self.link is not None and listening.any():
+            ids = np.flatnonzero(listening)
+            kept = self.link.deliver_mask(self.r, head[ids], ids)
+            if kept is not None:
+                listening[ids[~kept]] = False
+        return listening
+
+    def deliveries_to(
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(receiver, sender, payload)`` deliveries to nodes ``ids``."""
+        arrs = self.arrs
+        lens = arrs.degrees[ids]
+        starts = arrs.indptr[ids]
+        total = int(lens.sum())
+        pos = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - (np.cumsum(lens) - lens), lens
+        )
+        rec = np.repeat(ids, lens)
+        snd = arrs.indices[pos]
+        payload = self.bc_full[snd]
+        keep = payload.any(axis=1)
+        if self.edge_keep is not None:
+            keep &= self.edge_keep[pos]
+        uc = np.isin(self.uc_dests, ids)
+        return (
+            np.concatenate((rec[keep], self.uc_dests[uc])),
+            np.concatenate((snd[keep], self.uc_senders[uc])),
+            np.concatenate((payload[keep], self.uc_payload[uc])),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +278,8 @@ class _Kernel:
 
     Subclasses implement :meth:`send` (returning a :class:`_SendBatch` or
     ``None`` for a silent round) and :meth:`finished`; the default
-    :meth:`receive` ORs every delivered payload row into ``TA``.
+    :meth:`absorb` ORs every delivered payload into ``TA`` — the
+    reference rule "absorb everything you hear".
     """
 
     def __init__(self, n: int, k: int, W: int, TA: np.ndarray) -> None:
@@ -188,22 +288,19 @@ class _Kernel:
         self.W = W
         self.TA = TA
 
-    # -- engine interface --------------------------------------------------
-
     def send(self, r: int, arrs: SnapshotArrays) -> Optional[_SendBatch]:
         raise NotImplementedError
 
-    def receive(
-        self, r: int, arrs: SnapshotArrays,
-        rec: np.ndarray, snd: np.ndarray, payload: np.ndarray,
-    ) -> None:
-        np.bitwise_or.at(self.TA, rec, payload)
+    def absorb(self, arrs: SnapshotArrays, land: _Landing) -> None:
+        """Apply the receive rule to ``land`` under the landing round's
+        topology ``arrs``."""
+        self.TA |= land.recv
+        if land.uc_dests.size:
+            np.bitwise_or.at(self.TA, land.uc_dests, land.uc_payload)
 
     def finished(self, r: int) -> bool:
         """Whether every node has locally terminated after round ``r``."""
         return False
-
-    # -- shared helpers ----------------------------------------------------
 
     def _head_arr(self, arrs: SnapshotArrays) -> np.ndarray:
         if arrs.head_of is not None:
@@ -286,24 +383,42 @@ class _Algorithm1Kernel(_Kernel):
             np.ones(uc_senders.size, dtype=np.int64),
         )
 
-    def receive(self, r, arrs, rec, snd, payload):
+    def absorb(self, arrs, land):
+        """Members take their own head's traffic into ``TA`` and ``TR``
+        and overheard traffic into ``TA`` unless ``strict``; non-members
+        absorb everything.  The head contribution is one gather
+        ``bc_full[head_of]`` over the members that heard it — a silent
+        head contributes an all-zero row, exactly like no delivery."""
         member = self._member_mask(arrs)
         if member is None:
-            np.bitwise_or.at(self.TA, rec, payload)
+            super().absorb(arrs, land)
             return
+        if self.strict:
+            # masked in-place OR (ufunc ``where=``) — no gather/scatter copies
+            np.bitwise_or(self.TA, land.recv, out=self.TA, where=~member[:, None])
+        else:
+            self.TA |= land.recv
         head_arr = self._head_arr(arrs)
-        memb = member[rec]
-        nonmemb = ~memb
-        if nonmemb.any():
-            np.bitwise_or.at(self.TA, rec[nonmemb], payload[nonmemb])
-        from_head = memb & (head_arr[rec] == snd)
-        if from_head.any():
-            np.bitwise_or.at(self.TA, rec[from_head], payload[from_head])
-            np.bitwise_or.at(self.TR, rec[from_head], payload[from_head])
-        if not self.strict:
-            overheard = memb & ~from_head
-            if overheard.any():
-                np.bitwise_or.at(self.TA, rec[overheard], payload[overheard])
+        if arrs.head_adjacent is not None:
+            listening = land.heard_heads(arrs, member)
+            if listening.any():
+                keep = listening[:, None]
+                from_head = land.bc_full[head_arr]
+                np.bitwise_or(self.TA, from_head, out=self.TA, where=keep)
+                np.bitwise_or(self.TR, from_head, out=self.TR, where=keep)
+        if land.uc_dests.size:
+            dests, snds, pay = land.uc_dests, land.uc_senders, land.uc_payload
+            memb_d = member[dests]
+            if (~memb_d).any():
+                np.bitwise_or.at(self.TA, dests[~memb_d], pay[~memb_d])
+            uc_from_head = memb_d & (head_arr[dests] == snds)
+            if uc_from_head.any():
+                np.bitwise_or.at(self.TA, dests[uc_from_head], pay[uc_from_head])
+                np.bitwise_or.at(self.TR, dests[uc_from_head], pay[uc_from_head])
+            if not self.strict:
+                overheard = memb_d & ~uc_from_head
+                if overheard.any():
+                    np.bitwise_or.at(self.TA, dests[overheard], pay[overheard])
 
     def finished(self, r: int) -> bool:
         return r + 1 >= self.M * self.T
@@ -424,15 +539,14 @@ class _FloodNewKernel(_Kernel):
         self.fresh[senders] = 0
         return _broadcast_batch(senders, payload, _popcounts(payload))
 
-    def receive(self, r, arrs, rec, snd, payload):
-        received = np.zeros_like(self.TA)
-        np.bitwise_or.at(received, rec, payload)
-        novel = received & ~self.TA
+    def absorb(self, arrs, land):
+        """Only never-seen tokens re-arm the fresh set."""
+        novel = land.recv & ~self.TA
         self.TA |= novel
         self.fresh |= novel
 
 
-_KERNELS = {
+KERNELS = {
     "algorithm1": lambda n, k, W, TA, **p: _Algorithm1Kernel(n, k, W, TA, **p),
     "algorithm1_stable": lambda n, k, W, TA, **p: _Algorithm1Kernel(
         n, k, W, TA, stable=True, **p
@@ -446,12 +560,12 @@ _KERNELS = {
 
 
 def supported_kinds() -> Tuple[str, ...]:
-    """The ``factory.fastpath`` kinds this module can execute."""
-    return tuple(sorted(_KERNELS))
+    """The ``factory.fastpath`` kinds the kernel library implements."""
+    return tuple(sorted(KERNELS))
 
 
 # ---------------------------------------------------------------------------
-# accounting and delivery
+# accounting
 # ---------------------------------------------------------------------------
 
 def _account(
@@ -495,434 +609,3 @@ def _account(
                 timeline.record_sends(
                     name, int(msg_counts[code]), int(tok_counts[code])
                 )
-
-
-def _deliveries(
-    batch: _SendBatch, arrs: SnapshotArrays
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Expand a send batch into flat (receiver, sender, payload-row) arrays."""
-    parts = []
-    senders = batch.bc_senders
-    if senders.size:
-        lens = arrs.degrees[senders]
-        total = int(lens.sum())
-        if total:
-            starts = arrs.indptr[senders]
-            cum = np.cumsum(lens)
-            pos = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - lens), lens)
-            parts.append((
-                arrs.indices[pos],
-                np.repeat(senders, lens),
-                np.repeat(batch.bc_payload, lens, axis=0),
-            ))
-    if batch.uc_senders.size:
-        ok = batch.uc_ok
-        if ok.any():
-            parts.append((
-                batch.uc_dests[ok],
-                batch.uc_senders[ok],
-                batch.uc_payload[ok],
-            ))
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
-
-
-def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
-    """Drop transmissions whose sender crashed — crashed nodes never send."""
-    bk = alive[batch.bc_senders]
-    uk = alive[batch.uc_senders]
-    if bk.all() and uk.all():
-        return batch
-    return _SendBatch(
-        batch.bc_senders[bk], batch.bc_payload[bk], batch.bc_costs[bk],
-        batch.uc_senders[uk], batch.uc_dests[uk], batch.uc_ok[uk],
-        batch.uc_payload[uk], batch.uc_costs[uk],
-    )
-
-
-def _apply_link_flat(
-    flat: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    r: int,
-    link: LinkModel,
-    alive: np.ndarray,
-    metrics: Metrics,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Link transform over flat (receiver, sender, payload) deliveries.
-
-    Deliveries to crashed receivers are discarded silently (the reference
-    engine never offers a crashed node as a candidate); the link's deliver
-    mask then suppresses some of the survivors, each billed as a loss.
-    The counter-based link RNG keys every decision by (round, edge), so
-    masking the vectorised candidate set here is bit-identical to the
-    reference engine's per-edge ``delivers`` calls.
-    """
-    rec, snd, payload = flat
-    live = alive[rec]
-    if not live.all():
-        if not live.any():
-            return None
-        rec, snd, payload = rec[live], snd[live], payload[live]
-    mask = link.deliver_mask(r, snd, rec)
-    if mask is not None:
-        lost = int(mask.size - int(mask.sum()))
-        if lost:
-            metrics.record_loss(lost)
-            if lost == mask.size:
-                return None
-            rec, snd, payload = rec[mask], snd[mask], payload[mask]
-    return rec, snd, payload
-
-
-# ---------------------------------------------------------------------------
-# causal tracing
-# ---------------------------------------------------------------------------
-
-def _row_tokens(row: np.ndarray) -> List[int]:
-    """Decode one uint64 bitset row to its sorted token ids."""
-    out: List[int] = []
-    for w in range(row.shape[0]):
-        word = int(row[w])
-        base = w << 6
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-    return out
-
-
-def _rows_tokens(rows: np.ndarray) -> List[List[int]]:
-    """Decode an (m, words) uint64 bitset matrix to per-row sorted token
-    lists in one vectorised pass (one ``unpackbits`` + one ``nonzero``
-    instead of m Python word walks — the recording hot path decodes
-    every message payload of every round)."""
-    m = rows.shape[0]
-    out: List[List[int]] = [[] for _ in range(m)]
-    if m == 0:
-        return out
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows, dtype="<u8").view(np.uint8),
-        axis=1, bitorder="little",
-    )
-    for i, t in zip(*(ix.tolist() for ix in np.nonzero(bits))):
-        out[i].append(t)
-    return out
-
-
-def _record_causal_round(
-    causal: CausalTrace,
-    r: int,
-    roles: Optional[np.ndarray],
-    known: np.ndarray,
-    TA: np.ndarray,
-    rec: Optional[np.ndarray],
-    snd: Optional[np.ndarray],
-    payload: Optional[np.ndarray],
-) -> None:
-    """Record this round's first-learn events from the bitset diff.
-
-    Mirrors the reference engine's canonical attribution rule
-    (:meth:`repro.sim.engine.ActiveRun._record_causal`): for each token a
-    node gained this round, the sender is the minimum sender id among the
-    round's deliveries to that node whose payload carried the token,
-    falling back to the minimum deliverer (then −1); the sender's role is
-    read from this round's role codes.  Min-based on both paths, so the
-    event maps are bit-identical.
-    """
-    new = TA & ~known
-    changed = np.nonzero(new.any(axis=1))[0]
-    for v in changed:
-        v = int(v)
-        if rec is not None:
-            idx = np.nonzero(rec == v)[0]
-        else:
-            idx = _EMPTY_IDS
-        if idx.size:
-            senders_v = snd[idx]
-            fallback = int(senders_v.min())
-        else:
-            senders_v = _EMPTY_IDS
-            fallback = -1
-        for t in _row_tokens(new[v]):
-            if idx.size:
-                bit = _U1 << np.uint64(t & 63)
-                carrying = senders_v[(payload[idx, t >> 6] & bit) != 0]
-                sender = int(carrying.min()) if carrying.size else fallback
-            else:
-                sender = fallback
-            if sender >= 0 and roles is not None:
-                role = _ROLE_NAME_BY_CODE[int(roles[sender])]
-            else:
-                role = "flat"
-            causal.record_learn(v, t, r, sender, role)
-    known |= new
-
-
-# ---------------------------------------------------------------------------
-# the fast engine loop
-# ---------------------------------------------------------------------------
-
-def try_run(
-    engine: SynchronousEngine,
-    network,
-    factory,
-    k: int,
-    initial: Mapping[int, FrozenSet[int]],
-    max_rounds: int,
-    stop_when_complete: bool = False,
-    stop_when_finished: bool = True,
-    monitors=None,
-) -> Optional[RunResult]:
-    """Execute a run on the fast path, or return ``None`` if unsupported.
-
-    Supported: factories tagged with a known ``factory.fastpath`` kind, on
-    non-adaptive networks, without ``SimTrace`` recording.  Link models
-    (loss/churn/pinpoint faults), latency, ``obs="trace"`` causal tracing,
-    and runtime monitors are fully supported (see module docstring).
-    ``None`` is only ever returned *before* the first round executes, so
-    monitor state is untouched when the engine falls back to the reference
-    path.
-    """
-    spec = getattr(factory, "fastpath", None)
-    if spec is None:
-        return None
-    kind, params = spec
-    make_kernel = _KERNELS.get(kind)
-    if make_kernel is None:
-        return None
-    if engine.record_trace or engine.record_knowledge:
-        return None
-    if getattr(network, "adaptive_snapshot", None) is not None:
-        return None
-
-    n = network.n
-    validate_run_args(n, k, initial, max_rounds)
-    W = max(1, (k + 63) // 64)
-    TA = np.zeros((n, W), dtype=np.uint64)
-    for node, toks in initial.items():
-        for t in toks:
-            TA[node, t >> 6] |= _U1 << np.uint64(t & 63)
-    kernel = make_kernel(n, k, W, TA, **params)
-
-    metrics = Metrics()
-    timeline = RunTimeline() if engine.obs != "off" else None
-    prof = Profiler() if engine.obs == "profile" else None
-    causal: Optional[CausalTrace] = None
-    known: Optional[np.ndarray] = None
-    if engine.obs == "trace":
-        causal = CausalTrace(n=n, k=k)
-        for node in range(n):
-            for t in _row_tokens(TA[node]):
-                causal.record_origin(node, t)
-        known = TA.copy()
-    recorder: Optional[RunRecorder] = None
-    rec_known: Optional[np.ndarray] = None
-    if engine.obs == "record":
-        recorder = RunRecorder(
-            n, k, {v: frozenset(_row_tokens(TA[v])) for v in range(n)}
-        )
-        rec_known = TA.copy()
-    monitors = list(monitors) if monitors else []
-    stream = getattr(engine, "stream", None)
-    link = engine.link_for("fast")
-    alive: Optional[np.ndarray] = None
-    if link is not None:
-        alive = np.ones(n, dtype=bool)
-    latency = engine.latency
-    in_flight: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    executed = 0
-
-    for r in range(max_rounds):
-        t0 = time.perf_counter() if prof is not None else 0.0
-        snap = network.snapshot(r)
-        if snap.n != n:
-            raise ValueError(
-                f"snapshot for round {r} has {snap.n} nodes, expected {n}"
-            )
-        arrs = snap.arrays()
-        if prof is not None:
-            prof.add("topology", time.perf_counter() - t0)
-        metrics.begin_round()
-        if timeline is not None:
-            timeline.begin_round()
-            if arrs.roles is not None:
-                pops = np.bincount(arrs.roles, minlength=3)
-                timeline.record_populations({
-                    name: int(pops[code]) for code, name in _ROLE_NAMES
-                })
-
-        if recorder is not None:
-            recorder.begin_round(snap)
-
-        # --- crash stage (before sends: crashed nodes never act in r) ----
-        newly_crashed: Tuple[int, ...] = ()
-        crash_tokens = 0
-        lost_before = metrics.lost_deliveries
-        if link is not None:
-            crashed = link.crashes(r, alive)
-            if len(crashed):
-                newly_crashed = tuple(int(x) for x in crashed)
-                alive[crashed] = False
-                crash_tokens = int(np.bitwise_count(kernel.TA[crashed]).sum())
-                kernel.TA[crashed] = 0
-                metrics.record_crashes(len(newly_crashed))
-
-        if prof is not None:
-            t0 = time.perf_counter()
-        batch = kernel.send(r, arrs)
-        if batch is not None and alive is not None:
-            batch = _filter_batch_alive(batch, alive)
-        if batch is not None and batch.messages:
-            _account(metrics, batch, arrs, timeline)
-            if recorder is not None:
-                bc_tokens = _rows_tokens(batch.bc_payload)
-                for i in range(len(batch.bc_senders)):
-                    cost = int(batch.bc_costs[i])
-                    if cost:
-                        recorder.record_send(
-                            int(batch.bc_senders[i]), "b", None,
-                            bc_tokens[i], cost,
-                        )
-                uc_tokens = _rows_tokens(batch.uc_payload)
-                for i in range(len(batch.uc_senders)):
-                    cost = int(batch.uc_costs[i])
-                    if cost:
-                        recorder.record_send(
-                            int(batch.uc_senders[i]), "u",
-                            int(batch.uc_dests[i]),
-                            uc_tokens[i], cost,
-                        )
-            flat = _deliveries(batch, arrs)
-            if flat is not None and link is not None:
-                flat = _apply_link_flat(flat, r, link, alive, metrics)
-            if flat is not None:
-                in_flight.setdefault(r + latency - 1, []).append(flat)
-
-        if prof is not None:
-            now = time.perf_counter()
-            prof.add("send", now - t0)
-            t0 = now
-        pending = in_flight.pop(r, None)
-        rec = snd = payload = None
-        if pending:
-            if len(pending) == 1:
-                rec, snd, payload = pending[0]
-            else:
-                rec = np.concatenate([p[0] for p in pending])
-                snd = np.concatenate([p[1] for p in pending])
-                payload = np.concatenate([p[2] for p in pending])
-            if alive is not None and latency > 1:
-                # receivers may have crashed between transmission and landing
-                live = alive[rec]
-                if not live.all():
-                    rec, snd, payload = rec[live], snd[live], payload[live]
-            if rec.size:
-                kernel.receive(r, arrs, rec, snd, payload)
-            else:
-                rec = snd = payload = None
-
-        if prof is not None:
-            now = time.perf_counter()
-            prof.add("receive", now - t0)
-            t0 = now
-        if link is not None:
-            # pinpoint perturbations (PinpointFault / FAULT_ENV_VAR): XOR
-            # always changes state, so divergence at exactly this round/node
-            for fv, ft in link.faults(r):
-                if alive is None or alive[fv]:
-                    kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
-        if causal is not None:
-            _record_causal_round(
-                causal, r, arrs.roles, known, kernel.TA, rec, snd, payload
-            )
-        if recorder is not None:
-            new = kernel.TA & ~rec_known
-            dropped = rec_known & ~kernel.TA
-            new_idx = np.nonzero(new.any(axis=1))[0]
-            gained = list(zip(new_idx.tolist(), _rows_tokens(new[new_idx])))
-            lost_idx = np.nonzero(dropped.any(axis=1))[0]
-            lost = list(
-                zip(lost_idx.tolist(), _rows_tokens(dropped[lost_idx]))
-            )
-            recorder.end_round(gained, lost)
-            rec_known[:] = kernel.TA
-        per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
-        coverage = int(per_node.sum())
-        nodes_complete = int((per_node == k).sum())
-        metrics.end_round(coverage)
-        if timeline is not None:
-            timeline.end_round(coverage, nodes_complete)
-            if stream is not None:
-                stream.on_round(timeline)
-        if monitors:
-            faults_info = None
-            if link is not None:
-                faults_info = {
-                    "crashed": newly_crashed,
-                    "crash_tokens": crash_tokens,
-                    "lost": metrics.lost_deliveries - lost_before,
-                }
-            view = RoundView(
-                round_index=r,
-                snap=snap,
-                coverage=coverage,
-                nodes_complete=nodes_complete,
-                per_node=per_node.tolist(),
-                n=n,
-                k=k,
-                faults=faults_info,
-                tokens_sent=metrics.tokens_sent,
-                messages_sent=metrics.messages_sent,
-            )
-            for monitor in monitors:
-                before = len(monitor.violations) if stream is not None else 0
-                monitor.observe(view)
-                if stream is not None:
-                    for violation in monitor.violations[before:]:
-                        stream.alert(violation)
-        executed = r + 1
-        if prof is not None:
-            prof.add("bookkeeping", time.perf_counter() - t0)
-        alive_n = n if alive is None else int(alive.sum())
-        if coverage == alive_n * k and (alive is None or alive_n > 0):
-            metrics.mark_complete()
-            if stop_when_complete:
-                break
-        if stop_when_finished and not in_flight and kernel.finished(r):
-            break
-
-    if timeline is not None and prof is not None:
-        timeline.profile.update(prof.seconds)
-    token_sets = _rows_to_frozensets(kernel.TA)
-    outputs = {v: token_sets[v] for v in range(n)}
-    if alive is None:
-        complete = all(len(t) == k for t in outputs.values())
-    else:
-        survivors = np.nonzero(alive)[0]
-        complete = bool(survivors.size) and all(
-            len(outputs[int(v)]) == k for v in survivors
-        )
-    violations = None
-    if monitors:
-        for monitor in monitors:
-            monitor.finish(executed, complete)
-        violations = [v for m in monitors for v in m.violations]
-    return RunResult(
-        n=n,
-        k=k,
-        metrics=metrics,
-        outputs=outputs,
-        complete=complete,
-        trace=None,
-        timeline=timeline,
-        causal_trace=causal,
-        recording=recorder.finish() if recorder is not None else None,
-        violations=violations,
-        algorithms=None,
-    )

@@ -36,7 +36,7 @@ _ROLE_BY_CODE: Dict[int, Role] = {code: role for role, code in ROLE_CODES.items(
 class SnapshotArrays:
     """A snapshot's topology re-encoded as flat numpy arrays.
 
-    The vectorised fast path (:mod:`repro.sim.fastpath`) consumes these
+    The vectorised engine (:mod:`repro.sim.columnar`) consumes these
     instead of per-node frozensets.  Built once per snapshot and memoized
     (see :meth:`Snapshot.arrays`), so traces that repeat a snapshot — or
     algorithms that run many rounds on the same topology — pay the
@@ -102,9 +102,9 @@ class CSRNetwork:
     invariants :meth:`Snapshot.arrays` produces.
 
     :meth:`snapshot` lazily materialises a full :class:`Snapshot`
-    (memoized per distinct arrays object), so the reference and fastpath
-    engines still run on the same network — the small-n equivalence
-    bridge the columnar tests drive.
+    (memoized per distinct arrays object), so the reference engine still
+    runs on the same network — the small-n equivalence bridge the
+    columnar tests drive, and the view attached monitors inspect.
     """
 
     def __init__(self, arrays) -> None:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.roles import Role
+from repro.sim import engine as engine_module
+from repro.sim.linkmodel import LinkChain, PinpointFault, effective_link
 from repro.sim.topology import Snapshot
 
 
@@ -43,3 +45,30 @@ def small_hinet():
         reaffiliation_p=0.2, churn_p=0.05,
     )
     return generate_hinet(params, seed=42)
+
+
+@pytest.fixture
+def vectorised_fault(monkeypatch):
+    """Inject a :class:`PinpointFault` into every vectorised run in-process.
+
+    ``vectorised_fault(r, v, t)`` flips token ``t`` at node ``v`` after
+    round ``r`` on ``engine="fast"``/``"columnar"`` runs only — including
+    runs built deep inside the CLI, the runner or a gate script — so the
+    reference engine stays a clean oracle to diverge from.  Returns an
+    undo callable.
+    """
+
+    def inject(r: int, v: int, t: int):
+        fault = PinpointFault(r, v, t, tiers=("fast", "columnar"))
+
+        def faulted(link, tier):
+            return effective_link(
+                fault if link is None else LinkChain([link, fault]), tier
+            )
+
+        monkeypatch.setattr(engine_module, "effective_link", faulted)
+        return lambda: monkeypatch.setattr(
+            engine_module, "effective_link", effective_link
+        )
+
+    return inject

@@ -268,7 +268,7 @@ class TestRegistryCommands:
         assert main(["profile", "flood-all", "--scenario", "one-interval",
                      "--n0", "16", "--k", "3", "--engine", "reference"]) == 0
         out = capsys.readouterr().out
-        assert "deliver" in out  # reference-only section
+        assert "deliver" in out
         assert "flat_msgs" in out
 
     def test_sweep_accepts_cache_flag(self, capsys, tmp_path):
@@ -361,13 +361,11 @@ class TestRecordReplayDiff:
 
     def test_diff_divergent_exits_one_and_writes_report(self, capsys,
                                                         tmp_path,
-                                                        monkeypatch):
-        from repro.sim.fastpath import FAULT_ENV_VAR
-
+                                                        vectorised_fault):
         a = self._record(tmp_path, "good.json")
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
+        undo = vectorised_fault(2, 1, 0)
         b = self._record(tmp_path, "faulty.json")
-        monkeypatch.delenv(FAULT_ENV_VAR)
+        undo()
         capsys.readouterr()
         report = tmp_path / "report.txt"
         assert main(["diff", str(a), str(b), "--report", str(report)]) == 1

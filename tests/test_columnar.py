@@ -1,9 +1,10 @@
-"""Columnar-tier equivalence: ``engine="columnar"`` must be bit-identical
-to the fast path (and hence the reference engine) for every supported
-algorithm and scenario family, sharded or not, and must fall back
-silently everywhere else.  Also covers the packed-bitset codecs, the
-array-native :class:`~repro.sim.topology.CSRNetwork`, and the
-array-native topology builders."""
+"""Vectorised-engine equivalence: ``engine="columnar"`` (and its alias
+``engine="fast"``) must be bit-identical to the reference engine for
+every supported algorithm and scenario family, sharded or not, at every
+``obs`` level, with monitors and at any latency, and must fall back to
+the reference engine everywhere else.  Also covers the packed-bitset
+codecs, the array-native :class:`~repro.sim.topology.CSRNetwork`, and
+the array-native topology builders."""
 
 import argparse
 import os
@@ -31,6 +32,7 @@ from repro.obs.monitors import default_monitors
 from repro.registry import all_specs
 from repro.sim import columnar
 from repro.sim.engine import SynchronousEngine
+from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain
 from repro.sim.topology import CSRNetwork, Snapshot
 
 
@@ -55,18 +57,17 @@ def _case_id(case):
 #: Nightly CI widens the seed sweep (REPRO_EQUIV_SEEDS=6); default 2.
 SEEDS = list(range(1, 1 + int(os.environ.get("REPRO_EQUIV_SEEDS", "2"))))
 
-#: Engines the columnar tier is cross-checked against.  Nightly CI sets
-#: REPRO_EQUIV_ENGINES="fast,reference" to triangulate all three tiers;
-#: the default compares against the fast path only (which tests/
-#: test_fastpath.py already pins to the reference engine).
+#: Engines the vectorised engine is cross-checked against: the reference
+#: engine is the oracle (``"fast"`` is an alias of the vectorised engine).
 BASELINE_ENGINES = [
     e.strip()
-    for e in os.environ.get("REPRO_EQUIV_ENGINES", "fast").split(",")
+    for e in os.environ.get("REPRO_EQUIV_ENGINES", "reference").split(",")
     if e.strip()
 ]
 
 # (name, scenario builder, factory builder, max_rounds) — mirrors
-# tests/test_fastpath.py so the three tiers are pinned on the same grid.
+# tests/test_fastpath.py so both suites pin the vectorised engine on the
+# same grid.
 CASES = [
     ("alg1", _hinet, lambda s: make_algorithm1_factory(T=12, M=5), 60),
     ("alg1-strict", _hinet, lambda s: make_algorithm1_factory(T=12, M=5, strict=True), 60),
@@ -82,12 +83,31 @@ CASES = [
 
 
 def _columnar_ran(result) -> bool:
-    """Whether the columnar tier (not a fallback) executed the run.
+    """Whether the vectorised engine (not the reference fallback) executed
+    the run: only the reference engine hands back per-node objects."""
+    return result.algorithms is None
 
-    The columnar loop stamps its kernel sections into the profile, so a
-    profile with ``spmm_delivery`` can only come from the columnar tier.
-    """
-    return "spmm_delivery" in result.timeline.profile
+
+def assert_matches_reference(scenario, factory, max_rounds, monitors=False,
+                             **engine_kwargs):
+    """Run the vectorised and the reference engine; compare every
+    observable, including causal traces, recordings and violations."""
+    results = []
+    for engine in ("columnar", "reference"):
+        results.append(SynchronousEngine(engine=engine, **engine_kwargs).run(
+            scenario.trace, factory, scenario.k, scenario.initial, max_rounds,
+            monitors=default_monitors() if monitors else None,
+        ))
+    col, ref = results
+    assert _columnar_ran(col) and not _columnar_ran(ref)
+    assert col.outputs == ref.outputs
+    assert col.complete == ref.complete
+    assert col.metrics == ref.metrics
+    assert col.timeline == ref.timeline
+    assert col.causal_trace == ref.causal_trace
+    assert col.recording == ref.recording
+    assert col.violations == ref.violations
+    return col
 
 
 def assert_columnar_equivalent(scenario, factory, max_rounds, **engine_kwargs):
@@ -122,7 +142,7 @@ class TestEquivalence:
     def test_stop_when_complete(self):
         scenario = _flat(4)
         factory = make_flood_all_factory()
-        fast = SynchronousEngine(engine="fast").run(
+        ref = SynchronousEngine().run(
             scenario.trace, factory, scenario.k, scenario.initial, 40,
             stop_when_complete=True,
         )
@@ -130,8 +150,8 @@ class TestEquivalence:
             scenario.trace, factory, scenario.k, scenario.initial, 40,
             stop_when_complete=True,
         )
-        assert col.metrics.rounds == fast.metrics.rounds
-        assert col.outputs == fast.outputs
+        assert col.metrics.rounds == ref.metrics.rounds
+        assert col.outputs == ref.outputs
 
     def test_wide_token_sets(self):
         # k > 64 exercises multi-word bitset rows through the spmm kernel
@@ -139,36 +159,36 @@ class TestEquivalence:
         scenario = _flat(8, n0=n, k=4)  # topology only; assignment built here
         initial = {v: frozenset(range(v * 7, min(v * 7 + 7, k))) for v in range(n)}
         factory = make_flood_all_factory()
-        fast = SynchronousEngine(engine="fast").run(
-            scenario.trace, factory, k, initial, 25
-        )
+        ref = SynchronousEngine().run(scenario.trace, factory, k, initial, 25)
         col = SynchronousEngine(engine="columnar").run(
             scenario.trace, factory, k, initial, 25
         )
-        assert col.outputs == fast.outputs
-        assert col.metrics == fast.metrics
+        assert col.outputs == ref.outputs
+        assert col.metrics == ref.metrics
 
 
 class TestRegistryWideIdentity:
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
     def test_columnar_matches_fast_per_spec(self, spec):
-        """Every registered algorithm: metrics, timeline, and (at
-        obs="record") the full RunRecording agree columnar⇄fast — or the
-        columnar tier falls back and trivially agrees."""
+        """Every registered algorithm: outputs, metrics and (at
+        obs="record") the full RunRecording agree columnar⇄reference — or
+        the vectorised engine falls back to the reference and trivially
+        agrees.  ``"fast"`` is an alias of ``"columnar"``, so the
+        reference is the only meaningful oracle."""
         args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3,
                                   alpha=3, L=2, seed=5)
         scenario = cli._build_scenario(args, spec)
         overrides = {"seed": 9} if spec.seeded else {}
-        fast = execute(spec, scenario, engine="fast", obs="record",
-                       **overrides)
+        ref = execute(spec, scenario, engine="reference", obs="record",
+                      **overrides)
         col = execute(spec, scenario, engine="columnar", obs="record",
                       **overrides)
-        assert col.result.outputs == fast.result.outputs
-        assert col.result.metrics == fast.result.metrics
-        rec_fast, rec_col = fast.result.recording, col.result.recording
-        assert rec_fast is not None and rec_col is not None
-        assert rec_col == rec_fast
-        assert rec_col.fingerprint() == rec_fast.fingerprint()
+        assert col.result.outputs == ref.result.outputs
+        assert col.result.metrics == ref.result.metrics
+        rec_ref, rec_col = ref.result.recording, col.result.recording
+        assert rec_ref is not None and rec_col is not None
+        assert rec_col == rec_ref
+        assert rec_col.fingerprint() == rec_ref.fingerprint()
         last = rec_col.rounds_recorded - 1
         assert rec_col.state_at(last) == col.result.outputs
 
@@ -234,8 +254,8 @@ class TestDispatch:
         assert result.algorithms is not None
 
     def test_loss_runs_natively_and_matches_reference(self):
-        # the LinkModel seam runs lossy channels on the columnar tier
-        # itself (no fastpath fallback), bit-identical to the reference
+        # the LinkModel seam runs lossy channels on the vectorised engine
+        # itself, bit-identical to the reference
         scenario = _flat(3)
         result = SynchronousEngine(engine="columnar", obs="profile",
                                    loss_p=0.25, loss_seed=11).run(
@@ -250,30 +270,43 @@ class TestDispatch:
         assert result.outputs == ref.outputs
         assert result.metrics == ref.metrics
 
+    # Latency, tracing and monitors run natively (the test names are kept
+    # for continuity) and must match the reference on every observable.
+
     def test_latency_falls_back(self):
-        scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile",
-                                   latency=2).run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10
-        )
-        assert not _columnar_ran(result)
+        scenario = _hinet(3)
+        for latency in (2, 3):
+            assert_matches_reference(
+                scenario, make_algorithm1_factory(T=12, M=5), 60,
+                latency=latency, obs="record",
+            )
 
     def test_obs_trace_falls_back(self):
-        scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="trace").run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10
+        scenario = _hinet(3)
+        col = assert_matches_reference(
+            scenario, make_algorithm1_factory(T=12, M=5), 60, obs="trace",
         )
-        assert result.causal_trace is not None
+        assert col.causal_trace is not None
 
     def test_monitors_fall_back(self):
-        scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile").run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10, monitors=default_monitors(),
+        scenario = _hinet(3)
+        col = assert_matches_reference(
+            scenario, make_algorithm2_factory(M=20), 30, monitors=True,
         )
-        assert not _columnar_ran(result)
+        assert col.violations is not None
+
+    @pytest.mark.parametrize("obs", ["trace", "record"])
+    def test_latency_loss_churn_trace_monitors_combined(self, obs):
+        """Everything at once on clustered strict Algorithm 1: latency 3,
+        i.i.d. loss, crash-stop churn, an observer and monitors."""
+        scenario = _hinet(5)
+        link = LinkChain([IidLoss(0.2, seed=3), CrashChurn(0.01, seed=4)])
+        col = assert_matches_reference(
+            scenario, make_algorithm1_factory(T=12, M=5, strict=True), 60,
+            monitors=True, latency=3, link=link, obs=obs,
+        )
+        assert col.metrics.lost_deliveries > 0
+        assert col.metrics.crashed_nodes > 0
 
     def test_invalid_engine_mode_rejected(self):
         with pytest.raises(ValueError, match="engine"):
@@ -345,17 +378,18 @@ class TestCSRNetwork:
         assert net.snapshot_arrays(0) is net.snapshot_arrays(999)
 
     def test_columnar_equals_fast_on_csr_network(self):
+        # "fast" is an alias of "columnar"; the reference is the oracle
         n, k = 64, 8
         net = CSRNetwork(clustered_star_arrays(n, 8))
         initial = {v: frozenset({v % k}) for v in range(n)}
         factory = make_algorithm1_factory(T=6, M=4)
-        fast = SynchronousEngine(engine="fast").run(net, factory, k,
-                                                    initial, 36)
-        col = SynchronousEngine(engine="columnar").run(net, factory, k,
+        ref = SynchronousEngine().run(net, factory, k, initial, 36)
+        for engine in ("fast", "columnar"):
+            col = SynchronousEngine(engine=engine).run(net, factory, k,
                                                        initial, 36)
-        assert col.outputs == fast.outputs
-        assert col.metrics == fast.metrics
-        assert col.timeline == fast.timeline
+            assert col.outputs == ref.outputs
+            assert col.metrics == ref.metrics
+            assert col.timeline == ref.timeline
 
 
 class TestArrayBuilders:

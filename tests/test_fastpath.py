@@ -1,7 +1,8 @@
-"""Fast-path equivalence: ``engine="fast"`` must be bit-identical to the
-reference engine for every supported algorithm, scenario family, and
-channel configuration (loss, latency), and must fall back silently
-everywhere else."""
+"""Kernel-library equivalence: ``engine="fast"`` (an alias of the
+vectorised engine) must be bit-identical to the reference engine for
+every supported algorithm kernel, scenario family, and channel
+configuration (loss, latency), and must fall back to the reference
+engine everywhere else."""
 
 import os
 

@@ -342,13 +342,12 @@ class TestRegressionGate:
                           "--inject-stream-overhead-ms", "300"]) == 1
 
     def test_equivalence_failure_emits_divergence_report(self, tmp_path,
-                                                         monkeypatch):
-        """Under an injected fastpath fault the full-run equivalence case
-        fails AND pinpoints the exact round/node in a written report."""
-        from repro.sim.fastpath import FAULT_ENV_VAR
-
+                                                         vectorised_fault):
+        """Under an injected vectorised-engine fault the full-run
+        equivalence case fails AND pinpoints the exact round/node in a
+        written report."""
         gate = _load_check_regression()
-        monkeypatch.setenv(FAULT_ENV_VAR, "3:5:0")
+        vectorised_fault(3, 5, 0)
         report = tmp_path / "divergence.txt"
         assert gate.main(["--threshold", "0.9", "--repeats", "1",
                           "--cases", self.CASE,

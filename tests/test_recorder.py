@@ -1,7 +1,7 @@
 """Deterministic record/replay (repro.obs.recorder) and run differencing
-(repro.obs.diff): time-travel reconstruction, registry-wide fastpath⇄
-reference recording bit-identity, divergence bisection (incl. the
-``REPRO_FASTPATH_FAULT`` hook), Chrome trace export, serialization with
+(repro.obs.diff): time-travel reconstruction, registry-wide vectorised⇄
+reference recording bit-identity, divergence bisection (incl. injected
+``PinpointFault`` bits), Chrome trace export, serialization with
 schema versioning, and the result-cache ride."""
 
 import argparse
@@ -45,7 +45,7 @@ from repro.obs import (
 from repro.obs.timeline import RunTimeline
 from repro.registry import all_specs, get_spec
 from repro.sim.engine import SynchronousEngine
-from repro.sim.fastpath import FAULT_ENV_VAR
+from repro.sim.linkmodel import PinpointFault, link_from_spec
 
 
 def _delta(gained=(), lost=(), messages=(), roles=None, head_of=None):
@@ -350,18 +350,17 @@ class TestDiffRecordings:
 class TestFastpathFaultHook:
     SCENARIO = dict(n0=20, theta=6, k=3, seed=3, verify=False)
 
-    def test_fault_pinpointed_by_diff(self, monkeypatch):
+    def test_fault_pinpointed_by_diff(self):
         """An injected single-bit fault in the fast path at round 2, node
         1 is pinpointed to exactly that round and node."""
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
         scenario = hinet_one_scenario(**self.SCENARIO)
         factory = make_algorithm2_factory(M=scenario.n - 1)
-        fast = SynchronousEngine(engine="fast", obs="record").run(
+        fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
+        fast = SynchronousEngine(engine="fast", obs="record", link=fault).run(
             scenario.trace, factory, scenario.k, scenario.initial,
             scenario.n - 1,
         )
-        monkeypatch.delenv(FAULT_ENV_VAR)
-        ref = SynchronousEngine(obs="record").run(
+        ref = SynchronousEngine(obs="record", link=fault).run(
             scenario.trace, factory, scenario.k, scenario.initial,
             scenario.n - 1,
         )
@@ -372,8 +371,8 @@ class TestFastpathFaultHook:
         assert 1 in {d.node for d in report.nodes}
         assert "state" in report.reason
 
-    def test_diff_engines_catches_fault(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "1:0:1")
+    def test_diff_engines_catches_fault(self, vectorised_fault):
+        vectorised_fault(1, 0, 1)
         spec = get_spec("algorithm2")
         report = diff_engines(spec, _auto_scenario(spec))
         assert not report.identical and report.first_round == 1
@@ -384,14 +383,11 @@ class TestFastpathFaultHook:
         report = diff_engines(spec, _auto_scenario(spec))
         assert report.identical
 
-    def test_malformed_fault_spec_raises(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "nonsense")
-        scenario = hinet_one_scenario(**self.SCENARIO)
-        with pytest.raises(ValueError, match="ROUND:NODE:TOKEN"):
-            SynchronousEngine(engine="fast", obs="record").run(
-                scenario.trace, make_algorithm2_factory(M=scenario.n - 1),
-                scenario.k, scenario.initial, scenario.n - 1,
-            )
+    def test_malformed_fault_spec_raises(self):
+        spec = {"kind": "pinpoint-fault", "round": 2, "node": 1, "token": 0,
+                "tiers": ["fast", "warp"]}
+        with pytest.raises(ValueError, match="unknown engine tier"):
+            link_from_spec(spec)
 
 
 def _run_args(scenario):
