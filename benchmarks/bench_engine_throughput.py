@@ -4,17 +4,17 @@ Not a paper artifact — keeps the simulator's performance visible so the
 sweep benchmarks stay laptop-scale (per the HPC guides: measure before
 optimising; these numbers are the baseline any engine change is judged
 against).  The reference-vs-fast comparison also persists machine-readable
-numbers to ``BENCH_engine.json`` (see ``_bench_json.py``) so future PRs
-have a throughput trajectory to diff against.
+numbers to ``BENCH_engine.json`` (see :mod:`repro.bench.history`; the
+nearest one walking up from the working directory) so the throughput
+trajectory can be diffed across commits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from _bench_json import record_bench, time_ms
-
 from repro.baselines.flooding import make_flood_new_factory
+from repro.bench.history import default_bench_path, record_bench, time_ms
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
@@ -72,7 +72,7 @@ def test_engine_fast_vs_reference(benchmark):
     ref_stats = time_ms(lambda: go("reference"), repeats=5)
     fast_stats = time_ms(lambda: go("fast"), repeats=5)
     speedup = ref_stats["median_ms"] / fast_stats["median_ms"]
-    record_bench("algorithm1_full_run_n100_r126", {
+    record_bench(default_bench_path(), "algorithm1_full_run_n100_r126", {
         "scenario": "hinet_interval(n0=100, theta=30, k=8, alpha=5, L=2, seed=47)",
         "rounds": ref_result.metrics.rounds,
         "tokens_sent": ref_result.metrics.tokens_sent,
@@ -112,11 +112,11 @@ def test_columnar_flood_round_scale(benchmark):
         repeats = 5 if n <= 100_000 else 3
         cases[n] = time_ms(one_round, repeats=repeats)
 
-    record_bench("columnar_flood_round_n100000", {
+    record_bench(default_bench_path(), "columnar_flood_round_n100000", {
         "scenario": "ring_lattice_arrays(n=100000, degree=8), flood_new, k=64, 1 round",
         **cases[100_000],
     })
-    record_bench("columnar_flood_round_n1000000", {
+    record_bench(default_bench_path(), "columnar_flood_round_n1000000", {
         "scenario": "ring_lattice_arrays(n=1000000, degree=8), flood_new, k=64, 1 round",
         **cases[1_000_000],
     })
@@ -145,7 +145,7 @@ def test_columnar_alg1_sweep_n10000(benchmark):
     res = go()
     assert res.metrics.rounds == 72
     stats = time_ms(go, repeats=5)
-    record_bench("columnar_alg1_run_n10000", {
+    record_bench(default_bench_path(), "columnar_alg1_run_n10000", {
         "scenario": f"clustered_star_arrays(n={n}, theta={theta}), algorithm1(T=12, M=6), k={k}, 72 rounds",
         "rounds": res.metrics.rounds,
         "tokens_sent": res.metrics.tokens_sent,

@@ -10,8 +10,7 @@ term suppressed).
 
 from __future__ import annotations
 
-from _bench_json import record_bench
-
+from repro.bench.history import default_bench_path, record_bench
 from repro.experiments.report import format_records
 from repro.experiments.sweeps import sweep_n
 
@@ -25,7 +24,7 @@ def test_sweep_n(benchmark, save_result, result_cache):
     save_result("sweep_n", text)
     print("\n" + text)
 
-    record_bench("sweep_n_x1", {
+    record_bench(default_bench_path(), "sweep_n_x1", {
         "cells": len(rows),
         "ns": "40,80,120,160",
         "median_ms": round(benchmark.stats.stats.median * 1000.0, 3),

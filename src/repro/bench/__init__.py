@@ -1,8 +1,9 @@
 """Continuous benchmark fleet: matrixed measurement, history, trends, bisection.
 
-``repro.bench`` grows the single-snapshot ``benchmarks/check_regression.py``
-gate into a fleet: a declarative benchmark matrix over {algorithm spec ×
-scenario family × n × engine tier × obs level} (:mod:`~repro.bench.matrix`),
+``repro.bench`` is the repository's one benchmark gate: a declarative
+benchmark matrix over {algorithm spec × scenario family × n × engine
+tier × obs level}, closed by five gate cases on two frozen instances
+(:mod:`~repro.bench.matrix`),
 executed through the one :func:`repro.experiments.runner.execute` pipeline
 (:mod:`~repro.bench.runner`), persisted as an append-only commit-keyed
 time series in ``BENCH_engine.json`` (:mod:`~repro.bench.history`),
@@ -12,9 +13,7 @@ an attached engine-divergence report (:mod:`~repro.bench.bisect`).
 
 The CLI front end is ``repro bench`` (``--quick`` per-PR tier, ``--full``
 nightly tier, ``--list`` to scope the matrix without running, ``--report``
-for the trend dashboard); CI runs it as the ``bench-fleet`` job.  The
-classic per-PR gate (``benchmarks/check_regression.py``) consumes the same
-measurement helpers, so the gate and the fleet can never drift apart.
+for the trend dashboard); CI runs it as the ``bench-fleet`` job.
 """
 
 from .bisect import BisectReport, bisect_regression

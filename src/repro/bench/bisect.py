@@ -2,8 +2,8 @@
 
 A fleet gate failure says *some* case regressed; :func:`bisect_regression`
 narrows it.  For every flagged case it re-measures the case's **engine
-siblings** — the matrix cells sharing (algorithm, family, n, obs) and
-differing only in engine — at higher repeats with the same injection
+siblings** — the matrix cells sharing (algorithm, family or pinned
+instance, n, obs, telemetry bus) and differing only in engine — at higher repeats with the same injection
 hooks, then names the offender: the sibling whose speedup fell furthest
 below its own history floor (a regression in one engine's kernels shows
 up in exactly that engine's ratio; a scenario- or algorithm-level change
@@ -75,7 +75,8 @@ def _sibling_rows(
         previous = previous_cases.get(result.name) or {}
         prev_speedup = previous.get("speedup")
         floor = (
-            float(prev_speedup) * (1.0 - threshold)
+            float(prev_speedup)
+            * (1.0 - result.case.speedup_allowance(threshold))
             if isinstance(prev_speedup, (int, float)) else None
         )
         speedup = stats.get("speedup")
@@ -133,11 +134,11 @@ def bisect_regression(
             ))
             continue
 
-        key = (flagged.algorithm, flagged.family, flagged.n, flagged.obs)
-        siblings = [
-            case for case in matrix
-            if (case.algorithm, case.family, case.n, case.obs) == key
-        ]
+        def key(case):
+            return (case.algorithm, case.pinned or case.family, case.n,
+                    case.obs, case.stream)
+
+        siblings = [case for case in matrix if key(case) == key(flagged)]
         results = [
             measure_case(case, repeats=repeats,
                          inject_ms=float(inject.get(case.name, 0.0)),

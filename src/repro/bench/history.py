@@ -5,13 +5,12 @@ This module owns the two things every benchmark producer shares:
 * **wall-clock measurement** — :func:`time_ms` (single callable) and
   :func:`time_ms_paired` (two callables with interleaved A B A B samples,
   so engine-vs-engine ratios measure kernels rather than allocator
-  drift).  Moved here from ``benchmarks/_bench_json.py``, which now
-  re-exports them — the ``bench_*.py`` scripts, the regression gate and
-  the fleet all time through one implementation;
+  drift) — the ``bench_*.py`` scripts and the fleet all time through
+  one implementation;
 
 * **persistence** — ``BENCH_engine.json`` holds ``{"meta": …, "cases":
   {case: stats}, "history": {commit: bucket}}``.  ``cases`` is the latest
-  snapshot (what the classic regression gate and REPORT.md consume);
+  snapshot (what REPORT.md consumes);
   ``history`` is an append-only time series with one *bucket* per commit.
 
 Bucket semantics (and the bugs they fix):
@@ -56,6 +55,9 @@ __all__ = [
 
 #: Default file name the fleet records to, searched for upward from cwd.
 BENCH_BASENAME = "BENCH_engine.json"
+
+#: Fewest timing repeats a bucket needs to serve as a gate baseline.
+MIN_BASELINE_REPEATS = 3
 
 PathLike = Union[str, Path]
 
@@ -198,7 +200,7 @@ def record_bucket(
     added, and a case recorded twice has its stat keys merged (so a
     re-run refreshes numbers without dropping keys the new run didn't
     produce).  ``snapshot=True`` additionally overwrites each case in the
-    latest-snapshot ``cases`` section (what the classic gate reads).
+    latest-snapshot ``cases`` section.
     ``bucket_meta`` keys land in the bucket's ``"_meta"`` entry alongside
     the auto-assigned ``seq``/``recorded_at``.
     """
@@ -276,11 +278,37 @@ def ordered_history(data: Dict[str, object]) -> List[Bucket]:
     return [bucket for _, bucket in sorted(buckets, key=lambda item: item[0])]
 
 
+def baseline_defect(label: str, meta: Dict[str, object]) -> Optional[str]:
+    """Why a bucket cannot serve as a gate baseline, or ``None`` if it can:
+    a dirty working tree, or fewer than :data:`MIN_BASELINE_REPEATS`
+    timing repeats (a single sample is noise, not a baseline)."""
+    if label.endswith("-dirty"):
+        return "recorded from a dirty working tree"
+    repeats = meta.get("repeats")
+    if not isinstance(repeats, int) or repeats < MIN_BASELINE_REPEATS:
+        return f"repeats={repeats}, need >= {MIN_BASELINE_REPEATS}"
+    return None
+
+
 def previous_bucket(
-    data: Dict[str, object], current_label: str
+    data: Dict[str, object],
+    current_label: str,
+    skipped: Optional[List[Tuple[str, str]]] = None,
 ) -> Optional[Bucket]:
-    """The most recent bucket recorded under a *different* label, or
-    ``None`` on a fresh series — the baseline a new fleet run gates
-    against (its own earlier same-commit run must not be its baseline)."""
-    candidates = [b for b in ordered_history(data) if b[0] != current_label]
-    return candidates[-1] if candidates else None
+    """The gate baseline: the newest usable bucket under another label.
+
+    ``None`` when there is none.  A run's own earlier same-commit bucket
+    is never its baseline.  Newer buckets that fail
+    :func:`baseline_defect` are passed over; each is appended to
+    ``skipped`` as ``(label, reason)`` when a list is given.
+    """
+    for bucket in reversed(ordered_history(data)):
+        label, _, meta = bucket
+        if label == current_label:
+            continue
+        defect = baseline_defect(label, meta)
+        if defect is None:
+            return bucket
+        if skipped is not None:
+            skipped.append((label, defect))
+    return None

@@ -11,7 +11,8 @@ engine supported by the spec's kernel tags) and assigns each case to
 named tiers:
 
 * ``"quick"`` — the per-PR CI tier: small n, ``timeline`` telemetry,
-  both vectorised engines paired against the reference engine;
+  the vectorised engine paired against the reference engine, plus the
+  five gate cases (:func:`gate_cases`);
 * ``"full"`` — the nightly tier: everything in quick, plus larger n,
   reference-engine absolute-time cases, and raised obs levels
   (``trace``/``record``) whose overhead trajectory is worth tracking.
@@ -21,15 +22,16 @@ the expected cost on a laptop) — they exist to catch pathological
 blowups on any machine, while the machine-*portable* regression signal
 is the paired speedup ratio gated against the previous history bucket.
 
-The module also hosts the two classic gate instances
-(:func:`regression_gate_scenario`, :func:`columnar_gate_instance`) so
-``benchmarks/check_regression.py`` and the fleet measure the exact same
-workloads through the same helpers.
+The gate cases run on two frozen instances instead of a family builder
+(:attr:`BenchCase.pinned`): the n0 = 100, seed-47 Algorithm 1 HiNet
+(:func:`regression_gate_scenario`) and the n = 10⁴ clustered star
+(:func:`columnar_gate_scenario`), whose counters are pinned in
+``tests/test_regression_pins.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,9 +42,10 @@ __all__ = [
     "TIERS",
     "build_scenario",
     "case_rows",
-    "columnar_gate_instance",
+    "columnar_gate_scenario",
     "default_matrix",
     "expand",
+    "gate_cases",
     "regression_gate_scenario",
     "select",
 ]
@@ -52,7 +55,7 @@ TIERS = ("quick", "full")
 
 #: Fleet axes (what the default matrix expands).
 FAMILIES = ("benign", "adversarial", "lossy", "churn")
-ENGINES = ("reference", "fast", "columnar")
+ENGINES = ("reference", "columnar")
 OBS_LEVELS = ("timeline", "trace", "record")
 
 #: Matrix knobs: the specs worth tracking continuously (one per
@@ -72,11 +75,20 @@ _FAULT_SEED = 11
 class BenchCase:
     """One benchmark-matrix cell — everything needed to reproduce it.
 
-    ``baseline_engine`` names the engine the case is *paired* against
-    with interleaved samples: the recorded ``speedup`` (baseline median /
+    ``baseline_engine`` names the engine the case must be bit-identical
+    to, and (when ``paired``) the engine it is timed against with
+    interleaved samples: the recorded ``speedup`` (baseline median /
     case median) is a same-machine ratio and therefore the
-    machine-portable metric the gate tracks.  ``None`` records absolute
-    wall-clock only (never gated across machines).
+    machine-portable metric the gate tracks.  ``paired=False`` keeps the
+    baseline engine as an untimed equivalence oracle; ``None`` checks no
+    equivalence.  Either way the case then records absolute wall-clock
+    (never gated across machines).
+
+    An *overhead* case (``overhead_budget`` set) is instead paired
+    against the same engine without its extra observer — ``obs="off"``,
+    or the same ``obs`` level without the telemetry bus when ``stream``
+    attaches one — must leave that run's metrics unchanged, and may cost
+    at most ``overhead_budget`` times as much.
     """
 
     algorithm: str
@@ -90,17 +102,26 @@ class BenchCase:
     tiers: Tuple[str, ...] = ("full",)
     budget_ms: float = 5_000.0
     memory_budget_mb: float = 256.0
-    #: extras for special cases (e.g. the columnar n=10⁴ gate); must stay
-    #: hashable/picklable.
-    tags: Tuple[str, ...] = field(default_factory=tuple)
+    paired: bool = True
+    #: a frozen gate instance (see :data:`PINNED`) replacing the family's
+    #: scenario builder
+    pinned: Optional[str] = None
+    #: a tighter per-case speedup floor than the fleet-wide threshold
+    speedup_threshold: Optional[float] = None
+    #: max case / observer-free wall-clock ratio (makes an overhead case)
+    overhead_budget: Optional[float] = None
+    #: attach a ``TelemetryBus(BufferSink)`` to every run of the case
+    stream: bool = False
 
     @property
     def name(self) -> str:
         """Unique, colon-free id (colon is the ``--inject-slowdown``
-        separator): ``algorithm_family_nN_engine_obs``."""
+        separator): ``algorithm_family_nN_engine_obs``, with the pinned
+        instance in place of the family and a ``_stream`` suffix when a
+        telemetry bus is attached."""
         return (
-            f"{self.algorithm}_{self.family}_n{self.n}"
-            f"_{self.engine}_{self.obs}"
+            f"{self.algorithm}_{self.pinned or self.family}_n{self.n}"
+            f"_{self.engine}_{self.obs}{'_stream' if self.stream else ''}"
         )
 
     def row(self) -> Dict[str, object]:
@@ -108,15 +129,33 @@ class BenchCase:
         return {
             "case": self.name,
             "algorithm": self.algorithm,
-            "family": self.family,
+            "family": self.pinned or self.family,
             "n": self.n,
             "engine": self.engine,
             "obs": self.obs,
-            "vs": self.baseline_engine or "-",
+            "vs": self._vs(),
             "tiers": ",".join(self.tiers),
             "budget_ms": self.budget_ms,
             "mem_mb": self.memory_budget_mb,
         }
+
+    def speedup_allowance(self, threshold: float) -> float:
+        """The fractional speedup loss this case may show against the
+        previous bucket: the fleet-wide ``threshold``, tightened by the
+        case's own ``speedup_threshold``."""
+        return min(threshold, self.speedup_threshold or threshold)
+
+    def _vs(self) -> str:
+        if self.overhead_budget is not None:
+            plain = "no bus" if self.stream else "obs=off"
+            return f"{plain} (<= {self.overhead_budget:g}x)"
+        if self.baseline_engine is None:
+            return "-"
+        if not self.paired:
+            return f"{self.baseline_engine} (untimed)"
+        if self.speedup_threshold is not None:
+            return f"{self.baseline_engine} (floor -{self.speedup_threshold:.0%})"
+        return self.baseline_engine
 
 
 def _budget_ms(n: int, engine: str, obs: str) -> float:
@@ -165,9 +204,43 @@ def _case(
 
 
 def _supports_engine(spec: AlgorithmSpec, engine: str) -> bool:
-    # the fast engine falls back bit-identically for non-fastpath specs,
-    # but the columnar tier is only meaningful where the spec opted in
+    # the columnar tier is only meaningful where the spec opted in
     return engine != "columnar" or spec.columnar
+
+
+def gate_cases() -> List[BenchCase]:
+    """The five quick-tier gate cases on the two pinned instances.
+
+    * the n0 = 100 Algorithm 1 run, columnar paired against reference,
+      with a 25% speedup floor;
+    * the n = 10⁴ clustered star: counters and equivalence with the
+      reference engine, timed alone (one reference run costs seconds)
+      under a tight absolute budget;
+    * ``obs="trace"`` and ``obs="record"`` at most 3× the ``obs="off"``
+      run, and a telemetry bus at most 1.15× the bus-free run.
+    """
+    quick = ("quick", "full")
+
+    def pinned(obs: str = "timeline", **kw) -> BenchCase:
+        return BenchCase(
+            algorithm="algorithm1", family="benign", n=100,
+            engine="columnar", obs=obs, k=8, seed=47, tiers=quick,
+            pinned="hinet47", budget_ms=_budget_ms(100, "columnar", obs),
+            memory_budget_mb=_memory_budget_mb(100, obs), **kw,
+        )
+
+    return [
+        pinned(speedup_threshold=0.25),
+        BenchCase(
+            algorithm="algorithm1", family="benign", n=10_000,
+            engine="columnar", k=16, paired=False, tiers=quick,
+            pinned="star", budget_ms=300.0,
+            memory_budget_mb=_memory_budget_mb(10_000, "timeline"),
+        ),
+        pinned("trace", baseline_engine=None, overhead_budget=3.0),
+        pinned("record", baseline_engine=None, overhead_budget=3.0),
+        pinned(baseline_engine=None, overhead_budget=1.15, stream=True),
+    ]
 
 
 def default_matrix() -> List[BenchCase]:
@@ -175,7 +248,8 @@ def default_matrix() -> List[BenchCase]:
 
     Validity is registry-driven: a (spec, family) pair is skipped unless
     the spec declares the family (``AlgorithmSpec.families``), and the
-    columnar engine only appears for specs with columnar kernels.
+    columnar engine only appears for specs with columnar kernels.  The
+    :func:`gate_cases` close the list.
     """
     cases: List[BenchCase] = []
     for name in _ALGORITHMS:
@@ -200,12 +274,12 @@ def default_matrix() -> List[BenchCase]:
                     cases.append(_case(spec, family, n, engine,
                                        "timeline", tiers, "reference"))
             # raised obs levels: track telemetry overhead trajectories on
-            # the benign fast path (one engine is enough for a ratio)
+            # the benign columnar path (one engine is enough for a ratio)
             for obs in ("trace", "record"):
                 if family == "benign":
-                    cases.append(_case(spec, family, _QUICK_N, "fast", obs,
-                                       ("full",), "reference"))
-    return cases
+                    cases.append(_case(spec, family, _QUICK_N, "columnar",
+                                       obs, ("full",), "reference"))
+    return cases + gate_cases()
 
 
 def expand(tier: Optional[str] = None,
@@ -291,6 +365,8 @@ def _adversarial_scenario(n: int, k: int, seed: int):
 
 def build_scenario(case: BenchCase):
     """The scenario one case runs on — deterministic in the case alone."""
+    if case.pinned is not None:
+        return _pinned_scenario(case.pinned)
     spec = get_spec(case.algorithm)
     if case.family == "adversarial":
         return _adversarial_scenario(case.n, case.k, case.seed)
@@ -306,13 +382,15 @@ def build_scenario(case: BenchCase):
     return base
 
 
-# -- the classic gate instances ----------------------------------------------
+# -- the pinned gate instances ----------------------------------------------
 
 def regression_gate_scenario():
-    """The committed-baseline Algorithm-1 instance behind
-    ``algorithm1_full_run_n100_r126`` (scenario of ``BENCH_engine.json``'s
-    oldest tracked case) — shared by ``check_regression.py`` and the
-    bench scripts so gate and producer can never drift."""
+    """The ``hinet47`` gate instance: n0 = 100, seed 47, 126 rounds.
+
+    The same instance as the full-run case of
+    ``benchmarks/bench_engine_throughput.py``; its 126-round /
+    3498-token counters are pinned in tier-1.
+    """
     from ..experiments.scenarios import hinet_interval_scenario
 
     return hinet_interval_scenario(
@@ -320,28 +398,33 @@ def regression_gate_scenario():
     )
 
 
-def columnar_gate_instance():
-    """The ``columnar_vs_fast_alg1_n10000`` gate workload.
+def columnar_gate_scenario():
+    """The ``star`` gate instance: a clustered star at n = 10⁴.
 
-    Returns ``(net, factory, k, initial, rounds)`` — a clustered-star
-    CSR topology at the columnar tier's n ≥ 10⁴ gate floor, run through
-    :class:`~repro.sim.engine.SynchronousEngine` directly (the instance
-    predates the Scenario wrapper and its counters are committed
-    baselines, so its construction is frozen here).
+    An array-native CSR topology in the columnar tier's home regime, not
+    a certified HiNet: ``alpha`` is chosen only so that Theorem 1's plan,
+    ⌈θ/α⌉ + 1 phases of T, reproduces the frozen 6 × 12 = 72-round
+    budget whose 31300-token counter is pinned in tier-1.  It has no
+    cache fingerprint, so the fleet always executes it fresh.
     """
-    from ..core.algorithm1 import make_algorithm1_factory
+    from ..experiments.scenarios import Scenario
     from ..graphs.generators.static import clustered_star_arrays
     from ..sim.topology import CSRNetwork
 
     n, theta, k = 10_000, 300, 16
-    net = CSRNetwork(clustered_star_arrays(n, theta))
-    initial = {v: frozenset({v % k}) for v in range(n)}
-    factory = make_algorithm1_factory(T=12, M=6)
-    return net, factory, k, initial, 72
-
-
-def quick_gate_case() -> BenchCase:
-    """The per-PR fleet case mirroring the classic full-run gate."""
-    return replace(
-        select(["algorithm1_benign_n48_fast_timeline"])[0],
+    return Scenario(
+        name=f"clustered_star(n={n}, theta={theta})",
+        trace=CSRNetwork(clustered_star_arrays(n, theta)),
+        k=k,
+        initial={v: frozenset({v % k}) for v in range(n)},
+        params={"T": 12, "theta": theta, "alpha": 60},
     )
+
+
+#: Pinned instance name -> builder (see :attr:`BenchCase.pinned`).
+PINNED = {"hinet47": regression_gate_scenario, "star": columnar_gate_scenario}
+
+
+@lru_cache(maxsize=None)
+def _pinned_scenario(name: str):
+    return PINNED[name]()

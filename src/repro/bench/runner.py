@@ -10,10 +10,12 @@ through the one true pipeline — :func:`repro.experiments.runner.execute`
   skips recomputation; timing never touches the cache);
 * **equivalence** against the case's ``baseline_engine`` — outputs,
   metrics and timeline must be bit-identical, the registry-wide
-  engine-tier contract;
+  engine-tier contract (an overhead case's metrics must instead equal
+  those of its observer-free run);
 * **paired timing** via :func:`~repro.bench.history.time_ms_paired`
-  (interleaved samples) yielding the machine-portable ``speedup`` ratio;
-  reference-only cases record absolute wall-clock instead;
+  (interleaved samples) yielding the machine-portable ``speedup`` ratio,
+  or an overhead case's ``overhead`` ratio; unpaired cases record
+  absolute wall-clock instead;
 * **peak traced memory** (tracemalloc) from a separate *untimed* run, so
   instrumentation never distorts the timing samples.
 
@@ -21,17 +23,13 @@ through the one true pipeline — :func:`repro.experiments.runner.execute`
 :func:`repro.experiments.parallel.parallel_map` (cases are plain frozen
 dataclasses, so they pickle into worker processes), and
 :func:`gate_fleet` turns the results + the previous history bucket into
-:class:`GateViolation`\\ s — the six gate kinds are ``equivalence``,
+:class:`GateViolation`\\ s — the seven gate kinds are ``equivalence``,
 ``counter`` (exact match vs history), ``speedup`` (ratio floor vs
-history), ``budget`` and ``memory`` (absolute per-case ceilings), and
-``envelope`` (benign-family counters must stay inside the analytical
-bounds :func:`repro.analysis.predict` evaluates for the case, and the
-measured/predicted ratio must not drift vs the previous bucket).
-
-The module also exports the two primitives the classic per-PR gate
-(``benchmarks/check_regression.py``) is built from — :func:`equivalent`
-and :func:`measure_ratio` — so the gate and the fleet share one
-measurement path.
+history), ``overhead``, ``budget`` and ``memory`` (absolute per-case
+ceilings), and ``envelope`` (benign-family counters must stay inside
+the analytical bounds :func:`repro.analysis.predict` evaluates for the
+case, and the measured/predicted ratio must not drift vs the previous
+bucket).
 """
 
 from __future__ import annotations
@@ -116,13 +114,14 @@ class CaseResult:
     def row(self) -> Dict[str, object]:
         """Fixed-width table row for the CLI run summary."""
         stats = self.stats
-        speedup = stats.get("speedup")
+        speedup, overhead = stats.get("speedup"), stats.get("overhead")
         return {
             "case": self.name,
             "rounds": stats.get("rounds"),
             "tokens": stats.get("tokens_sent"),
             "median_ms": stats.get("median_ms"),
             "speedup": f"{speedup:.2f}x" if speedup is not None else "-",
+            "overhead": f"{overhead:.2f}x" if overhead is not None else "-",
             "peak_mb": stats.get("peak_mb"),
             "identical": stats.get("identical", "-"),
         }
@@ -179,17 +178,27 @@ def measure_case(
     (``cache=False``) — a cached replay has no kernel cost to measure.
     """
     from ..experiments.runner import execute
+    from ..obs import BufferSink, TelemetryBus
 
     scenario = build_scenario(case)
+    if case.pinned is not None:
+        # gate instances always run fresh (the star has no fingerprint)
+        cache = None
 
-    def run(engine: str, use_cache=False):
-        return execute(
-            case.algorithm,
-            scenario,
-            engine=engine,
-            obs=case.obs,
-            cache=cache if (use_cache and cache is not None) else False,
-        )
+    def run(engine: str, use_cache=False, obs=case.obs, stream=case.stream):
+        bus = TelemetryBus([BufferSink()]) if stream else None
+        try:
+            return execute(
+                case.algorithm,
+                scenario,
+                engine=engine,
+                obs=obs,
+                stream=bus,
+                cache=cache if (use_cache and cache is not None) else False,
+            )
+        finally:
+            if bus is not None:
+                bus.close()
 
     record = run(case.engine, use_cache=True)
     stats: Dict[str, object] = {
@@ -207,16 +216,32 @@ def measure_case(
     if baseline is not None:
         base_record = run(baseline, use_cache=True)
         stats["identical"] = equivalent(record.result, base_record.result)
-        base_stats, case_stats, speedup = measure_ratio(
+        stats["baseline_engine"] = baseline
+    if case.overhead_budget is not None:
+        def plain():  # the same engine without the extra observer
+            return run(case.engine, obs=case.obs if case.stream else "off",
+                       stream=False)
+
+        stats["identical"] = record.result.metrics == plain().result.metrics
+        base_stats, timing, _ = measure_ratio(
+            plain,
+            lambda: run(case.engine),
+            repeats=repeats,
+            inject_ms=inject_ms,
+        )
+        stats["baseline_median_ms"] = base_stats["median_ms"]
+        stats["overhead"] = round(
+            timing["median_ms"] / base_stats["median_ms"], 4
+        )
+    elif baseline is not None and case.paired:
+        base_stats, timing, speedup = measure_ratio(
             lambda: run(baseline),
             lambda: run(case.engine),
             repeats=repeats,
             inject_ms=inject_ms,
         )
-        stats["baseline_engine"] = baseline
         stats["baseline_median_ms"] = base_stats["median_ms"]
         stats["speedup"] = round(speedup, 4)
-        timing = case_stats
     else:
         sleep_s = inject_ms / 1000.0
 
@@ -293,7 +318,9 @@ def run_fleet(
     still running past ``stall_after_ms`` (default: a generous multiple
     of the case's ``budget_ms`` via :func:`_stall_limit_ms`) with a
     ``"stall"`` event *while it runs* — the case is not killed, just
-    surfaced.
+    surfaced.  A case that overruns its limit and finishes between two
+    watchdog polls gets its one ``"stall"`` event just before its
+    ``"done"`` event.
     """
     from ..experiments.parallel import parallel_map
 
@@ -315,6 +342,27 @@ def run_fleet(
     running: Dict[int, float] = {}
     flagged: set = set()
 
+    def overdue(idx: int, t0: float) -> Optional[Dict[str, object]]:
+        """The case's one ``stall`` event once it runs past its limit
+        (caller holds ``lock``)."""
+        limit = (
+            stall_after_ms
+            if stall_after_ms is not None
+            else _stall_limit_ms(cases[idx], repeats, memory)
+        )
+        elapsed_ms = (time.monotonic() - t0) * 1000.0
+        if idx in flagged or elapsed_ms <= limit:
+            return None
+        flagged.add(idx)
+        return {
+            "type": "case",
+            "case": cases[idx].name,
+            "status": "stall",
+            "elapsed_ms": round(elapsed_ms, 1),
+            "stall_after_ms": round(limit, 1),
+            "budget_ms": cases[idx].budget_ms,
+        }
+
     def case_event(event: Dict[str, object]) -> None:
         if event.get("type") != "task":
             heartbeat(event)
@@ -329,41 +377,27 @@ def run_fleet(
         for key in ("pid", "ms", "elapsed_s"):
             if key in event:
                 out[key] = event[key]
+        stall = None
         with lock:
             if out["status"] == "start":
                 running[idx] = time.monotonic()
-            elif out["status"] == "done":
-                running.pop(idx, None)
+            elif out["status"] == "done" and idx in running:
+                # a case that overran its limit between two watchdog polls
+                # is still flagged, before its done event
+                stall = overdue(idx, running.pop(idx))
+        if stall is not None:
+            heartbeat(stall)
         heartbeat(out)
 
     stop = threading.Event()
 
     def watchdog() -> None:
         while not stop.wait(0.05):
-            now = time.monotonic()
-            stalls = []
             with lock:
-                for idx, t0 in running.items():
-                    if idx in flagged:
-                        continue
-                    limit = (
-                        stall_after_ms
-                        if stall_after_ms is not None
-                        else _stall_limit_ms(cases[idx], repeats, memory)
-                    )
-                    elapsed_ms = (now - t0) * 1000.0
-                    if elapsed_ms > limit:
-                        flagged.add(idx)
-                        stalls.append((idx, elapsed_ms, limit))
-            for idx, elapsed_ms, limit in stalls:
-                heartbeat({
-                    "type": "case",
-                    "case": cases[idx].name,
-                    "status": "stall",
-                    "elapsed_ms": round(elapsed_ms, 1),
-                    "stall_after_ms": round(limit, 1),
-                    "budget_ms": cases[idx].budget_ms,
-                })
+                stalls = [overdue(idx, t0) for idx, t0 in running.items()]
+            for stall in stalls:
+                if stall is not None:
+                    heartbeat(stall)
 
     watcher = threading.Thread(target=watchdog, daemon=True)
     watcher.start()
@@ -382,7 +416,8 @@ class GateViolation:
 
     case: str
     engine: str
-    # "equivalence" | "counter" | "speedup" | "budget" | "memory" | "envelope"
+    # "equivalence" | "counter" | "speedup" | "overhead" | "budget" |
+    # "memory" | "envelope"
     kind: str
     message: str
     measured: object = None
@@ -401,8 +436,9 @@ def gate_fleet(
 ) -> List[GateViolation]:
     """Gate fleet results against budgets and the previous history bucket.
 
-    Absolute gates (no history needed): engine equivalence, per-case time
-    and memory budgets, and the analytical envelope — a benign case whose
+    Absolute gates (no history needed): engine equivalence, an overhead
+    case's ratio against its ``overhead_budget``, per-case time and
+    memory budgets, and the analytical envelope — a benign case whose
     measured counters exceed the Table 2 bounds
     (``envelope_ok == False``) fails outright.  History gates
     (``previous_cases`` is the previous bucket's case dict):
@@ -412,8 +448,8 @@ def gate_fleet(
     ``envelope_drift`` (relative) of the previous bucket's ratio.  The
     default speedup threshold is deliberately loose (50%) — the fleet
     runs small-n cases on shared CI runners, and its job is catching
-    cliffs, not 10% noise; the classic ``check_regression.py`` gate
-    keeps the tight 25% threshold on its big-n cases.
+    cliffs, not 10% noise; a case's own ``speedup_threshold`` (25% on
+    the n0 = 100 gate case) tightens it.
     """
     previous_cases = previous_cases or {}
     violations: List[GateViolation] = []
@@ -435,13 +471,33 @@ def gate_fleet(
                 measured=False, expected=True, metric="envelope_ok",
             ))
         if stats.get("identical") is False:
+            if case.overhead_budget is not None:
+                message = (f"obs={case.obs!r}"
+                           f"{' with a telemetry bus' if case.stream else ''}"
+                           " changed the run's metrics")
+            else:
+                message = (f"engine {case.engine!r} diverged from "
+                           f"{case.baseline_engine!r} "
+                           "(outputs/metrics/timeline)")
             violations.append(GateViolation(
                 case=case.name, engine=case.engine, kind="equivalence",
-                message=(
-                    f"engine {case.engine!r} diverged from "
-                    f"{case.baseline_engine!r} (outputs/metrics/timeline)"
-                ),
+                message=message,
                 measured=False, expected=True, metric="identical",
+            ))
+        overhead = stats.get("overhead")
+        if (
+            isinstance(overhead, (int, float))
+            and case.overhead_budget is not None
+            and overhead > case.overhead_budget
+        ):
+            violations.append(GateViolation(
+                case=case.name, engine=case.engine, kind="overhead",
+                message=(
+                    f"{overhead:.2f}x the observer-free run blew the "
+                    f"{case.overhead_budget:g}x overhead budget"
+                ),
+                measured=overhead, expected=case.overhead_budget,
+                metric="overhead",
             ))
         median = stats.get("median_ms")
         if isinstance(median, (int, float)) and median > case.budget_ms:
@@ -486,14 +542,15 @@ def gate_fleet(
             isinstance(prev_speedup, (int, float))
             and isinstance(speedup, (int, float))
         ):
-            floor = float(prev_speedup) * (1.0 - threshold)
+            allowed = case.speedup_allowance(threshold)
+            floor = float(prev_speedup) * (1.0 - allowed)
             if speedup < floor:
                 violations.append(GateViolation(
                     case=case.name, engine=case.engine, kind="speedup",
                     message=(
                         f"speedup regressed: {speedup:.2f}x < floor "
                         f"{floor:.2f}x (last bucket {prev_speedup:.2f}x, "
-                        f"threshold {threshold:.0%})"
+                        f"threshold {allowed:.0%})"
                     ),
                     measured=speedup, expected=floor, metric="speedup",
                 ))

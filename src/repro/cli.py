@@ -1068,7 +1068,11 @@ def _cmd_bench(args):
 
     tier = "full" if args.full else "quick"
     matrix = expand(None)
-    cases = select(args.cases, matrix) if args.cases else expand(tier, matrix)
+    try:
+        cases = (select(args.cases, matrix) if args.cases
+                 else expand(tier, matrix))
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
     path = Path(args.json) if args.json else default_bench_path()
 
     if args.list:
@@ -1119,7 +1123,8 @@ def _cmd_bench(args):
     # resolve the gate baseline *before* recording this run's bucket —
     # a same-label re-run must not gate against itself
     label = args.commit or current_commit(path.parent)
-    previous = previous_bucket(load_bench(path), label)
+    skipped = []
+    previous = previous_bucket(load_bench(path), label, skipped)
     record_bucket(
         path,
         {result.name: result.stats for result in results},
@@ -1138,11 +1143,14 @@ def _cmd_bench(args):
         return "\n".join(parts), 0
 
     prev_cases = previous[1] if previous else {}
+    parts.append("")
+    parts += [f"skipped bucket {skip!r} as a baseline: {why}"
+              for skip, why in skipped]
     if previous:
-        parts.append(f"\ngating against bucket {previous[0]!r}")
+        parts.append(f"gating against bucket {previous[0]!r}")
     else:
-        parts.append("\nno previous bucket — absolute gates only "
-                     "(budgets, equivalence)")
+        parts.append("no previous bucket — absolute gates only "
+                     "(budgets, equivalence, overhead)")
     violations = gate_fleet(results, prev_cases, threshold=args.threshold,
                             envelope_drift=args.envelope_drift)
     if not violations:

@@ -13,8 +13,9 @@ was stamped with a ``phase_length`` (``RunPlan`` via
 :func:`repro.experiments.runner.execute`).
 
 ``diff_engines(spec, scenario)`` is the one-call wrapper behind
-``repro diff --engines`` and the ``check_regression.py`` equivalence
-gate: record the same scenario on both engines and diff the recordings.
+``repro diff --engines`` and the benchmark fleet's divergence report
+(``repro bench --bisect``): record the same scenario on both engines
+and diff the recordings.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ decimated rounds, so a million-node run can stream without perturbing
 the hot loop.  The final round is always published
 (:meth:`TelemetryBus.end_run` back-fills it), so consumers always see
 the closing state.  Overhead is gated in CI by the
-``stream_overhead_vs_off`` case of ``benchmarks/check_regression.py``.
+``algorithm1_hinet47_n100_columnar_timeline_stream`` case of the
+``repro bench`` fleet (at most 1.15× the bus-free run).
 """
 
 from __future__ import annotations

@@ -1,8 +1,6 @@
 """Benchmark fleet: matrix, history series, trends, gating and bisection."""
 
-import importlib.util
-import json
-import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,20 +20,24 @@ from repro.bench import (
 )
 from repro.bench.history import current_commit, record_bench
 from repro.bench.matrix import TIERS, build_scenario
+from repro.bench.runner import CaseResult
 from repro.cli import main
 from repro.registry import get_spec
 
-FAST_CASE = "algorithm1_benign_n48_fast_timeline"
-COL_CASE = "algorithm1_benign_n48_columnar_timeline"
+CASE = "algorithm1_benign_n48_columnar_timeline"
+#: the absolute-time reference sibling of CASE (full tier only)
+REF_CASE = "algorithm1_benign_n48_reference_timeline"
+OTHER_CASE = "flood-all_benign_n48_columnar_timeline"
 
-
-def _load_bench_json_shim():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "_bench_json.py"
-    spec = importlib.util.spec_from_file_location("_bench_json", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("_bench_json", module)
-    spec.loader.exec_module(module)
-    return module
+#: the five quick-tier gate cases and the gate kind an injected slowdown trips
+GATES = {
+    "algorithm1_hinet47_n100_columnar_timeline": "speedup",
+    "algorithm1_star_n10000_columnar_timeline": "budget",
+    "algorithm1_hinet47_n100_columnar_trace": "overhead",
+    "algorithm1_hinet47_n100_columnar_record": "overhead",
+    "algorithm1_hinet47_n100_columnar_timeline_stream": "overhead",
+}
+SPEEDUP_GATE = "algorithm1_hinet47_n100_columnar_timeline"
 
 
 class TestMatrix:
@@ -65,8 +67,8 @@ class TestMatrix:
             select(["no_such_case"])
 
     def test_scenarios_match_case_axes(self):
-        for name in (FAST_CASE, "flood-all_adversarial_n48_fast_timeline",
-                     "algorithm2_lossy_n48_columnar_timeline"):
+        for name in (CASE, "flood-all_adversarial_n48_columnar_timeline",
+                     "algorithm2_lossy_n48_columnar_timeline", *GATES):
             case = select([name])[0]
             scenario = build_scenario(case)
             assert scenario.n == case.n
@@ -89,8 +91,10 @@ class TestHistory:
     def test_ordered_history_uses_seq_not_json_order(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         # labels chosen so sort_keys order (aaa < zzz) fights seq order
-        record_bucket(path, {"a": {"median_ms": 1.0}}, commit="zzz")
-        record_bucket(path, {"a": {"median_ms": 2.0}}, commit="aaa")
+        record_bucket(path, {"a": {"median_ms": 1.0}}, commit="zzz",
+                      bucket_meta={"repeats": 3})
+        record_bucket(path, {"a": {"median_ms": 2.0}}, commit="aaa",
+                      bucket_meta={"repeats": 3})
         data = load_bench(path)
         labels = [label for label, _, _ in ordered_history(data)]
         assert labels == ["zzz", "aaa"]
@@ -128,16 +132,41 @@ class TestHistory:
         assert data["cases"]["case"]["median_ms"] == 5.0
         assert any("case" in cases for _, cases, _ in ordered_history(data))
 
-    def test_bench_json_shim_round_trip(self, tmp_path, monkeypatch):
-        shim = _load_bench_json_shim()
-        monkeypatch.setattr(shim, "BENCH_JSON", tmp_path / "BENCH_engine.json")
-        shim.record_bench("case", {"median_ms": 5.0})
-        shim.record_bench("case", {"speedup": 2.0})
-        data = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        assert data["cases"]["case"] == {"speedup": 2.0}  # latest snapshot
-        merged = [bucket["case"] for label, bucket in data["history"].items()
-                  if "case" in bucket]
-        assert {"median_ms": 5.0, "speedup": 2.0} in merged
+    def test_previous_bucket_skips_dirty_and_thin_buckets(self, tmp_path):
+        path = tmp_path / "BENCH_engine.json"
+        for label, repeats in (("c1", 3), ("c2", 5), ("thin", 1),
+                               ("abc-dirty", 5), ("legacy", None)):
+            record_bucket(path, {"a": {"median_ms": 1.0}}, commit=label,
+                          bucket_meta={"repeats": repeats})
+        data = load_bench(path)
+        skipped = []
+        prev = previous_bucket(data, "new", skipped)
+        assert prev is not None and prev[0] == "c2"
+        assert [label for label, _ in skipped] == ["legacy", "abc-dirty",
+                                                   "thin"]
+        assert "dirty working tree" in dict(skipped)["abc-dirty"]
+        assert "repeats=1" in dict(skipped)["thin"]
+        assert "repeats=None" in dict(skipped)["legacy"]
+        # nothing usable at all: no baseline, every bucket accounted for
+        thin = tmp_path / "thin.json"
+        record_bucket(thin, {"a": {}}, commit="t", bucket_meta={"repeats": 1})
+        skipped = []
+        assert previous_bucket(load_bench(thin), "new", skipped) is None
+        assert [label for label, _ in skipped] == ["t"]
+
+    def test_cli_reports_skipped_baselines(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_engine.json"
+        record_bucket(path, {CASE: {"median_ms": 1.0}}, commit="c1",
+                      bucket_meta={"repeats": 3})
+        record_bucket(path, {CASE: {"median_ms": 1.0}}, commit="c2-dirty",
+                      bucket_meta={"repeats": 3})
+        assert main(["bench", "--cases", CASE, "--repeats", "1",
+                     "--no-memory", "--commit", "c3",
+                     "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("skipped bucket 'c2-dirty' as a baseline: recorded from a "
+                "dirty working tree") in out
+        assert "gating against bucket 'c1'" in out
 
 
 def _synthetic_history(tmp_path) -> Path:
@@ -146,7 +175,7 @@ def _synthetic_history(tmp_path) -> Path:
         record_bucket(
             path,
             {
-                FAST_CASE: {"speedup": speedup, "median_ms": 10.0 / speedup},
+                CASE: {"speedup": speedup, "median_ms": 10.0 / speedup},
                 "abs_case": {"median_ms": 100.0},
             },
             commit=label,
@@ -158,7 +187,7 @@ class TestTrend:
     def test_text_dashboard(self, tmp_path):
         text = render_trend(load_bench(_synthetic_history(tmp_path)))
         assert "c1 c2 c3" in text
-        assert FAST_CASE in text and "[speedup]" in text
+        assert CASE in text and "[speedup]" in text
         assert "abs_case" in text and "[median_ms]" in text
         assert "Δ vs prev -50.0%" in text  # 2.2 -> 1.1
         assert "p50" in text and "latest 1.10x" in text
@@ -167,13 +196,13 @@ class TestTrend:
         text = render_trend(load_bench(_synthetic_history(tmp_path)),
                             markdown=True)
         assert text.startswith("### Benchmark fleet trend")
-        assert f"| {FAST_CASE} | speedup | 3 " in text
+        assert f"| {CASE} | speedup | 3 " in text
         assert "-50.0%" in text
 
     def test_empty_and_single_bucket(self, tmp_path):
         assert "no history" in render_trend({"history": {}})
         path = tmp_path / "BENCH_engine.json"
-        record_bucket(path, {FAST_CASE: {"speedup": 2.0}}, commit="only")
+        record_bucket(path, {CASE: {"speedup": 2.0}}, commit="only")
         text = render_trend(load_bench(path))
         assert "single bucket" in text
 
@@ -181,14 +210,14 @@ class TestTrend:
 class TestFleetEndToEnd:
     def test_quick_run_appends_commit_keyed_bucket(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
-        rc = main(["bench", "--cases", FAST_CASE, COL_CASE,
+        rc = main(["bench", "--cases", CASE, OTHER_CASE,
                    "--repeats", "1", "--no-memory",
                    "--commit", "c1", "--json", str(path)])
         assert rc == 0
         data = load_bench(path)
         bucket = data["history"]["c1"]
-        assert set(bucket) == {"_meta", FAST_CASE, COL_CASE}
-        stats = bucket[FAST_CASE]
+        assert set(bucket) == {"_meta", CASE, OTHER_CASE}
+        stats = bucket[CASE]
         assert stats["identical"] is True
         assert stats["rounds"] > 0 and stats["speedup"] > 0
         assert bucket["_meta"]["tier"] == "quick"
@@ -198,24 +227,25 @@ class TestFleetEndToEnd:
     def test_injected_slowdown_fails_gate_and_bisect_names_pair(
             self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
-        assert main(["bench", "--cases", FAST_CASE, COL_CASE,
-                     "--repeats", "1", "--no-memory",
+        # a baseline needs >= 3 repeats
+        assert main(["bench", "--cases", CASE, OTHER_CASE,
+                     "--repeats", "3", "--no-memory",
                      "--commit", "c1", "--json", str(path)]) == 0
         capsys.readouterr()
         report = tmp_path / "bisect.txt"
-        rc = main(["bench", "--cases", FAST_CASE, COL_CASE,
+        rc = main(["bench", "--cases", CASE, OTHER_CASE,
                    "--repeats", "1", "--no-memory",
                    "--commit", "c2", "--json", str(path),
-                   "--inject-slowdown", f"{FAST_CASE}:200",
+                   "--inject-slowdown", f"{CASE}:200",
                    "--bisect", "--bisect-report", str(report)])
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL: [speedup]" in out
-        assert f"offender: case={FAST_CASE} engine=fast" in out
+        assert f"offender: case={CASE} engine=columnar" in out
         text = report.read_text()
-        assert f"case={FAST_CASE} engine=fast" in text
-        # the clean sibling is exonerated in the evidence table
-        assert COL_CASE in text
+        assert f"case={CASE} engine=columnar" in text
+        # the reference sibling is re-measured in the evidence table
+        assert REF_CASE in text
         # both runs landed as separate buckets
         assert set(load_bench(path)["history"]) == {"c1", "c2"}
 
@@ -223,49 +253,49 @@ class TestFleetEndToEnd:
 class TestFleetHeartbeat:
     def test_heartbeats_bracket_every_case(self):
         events = []
-        results = run_fleet(select([FAST_CASE]), repeats=1, memory=False,
+        results = run_fleet(select([CASE]), repeats=1, memory=False,
                             heartbeat=events.append)
         assert len(results) == 1
         assert [(e["case"], e["status"]) for e in events] == [
-            (FAST_CASE, "start"), (FAST_CASE, "done")]
+            (CASE, "start"), (CASE, "done")]
         assert all(e["type"] == "case" for e in events)
         assert events[-1]["ms"] > 0
 
     def test_watchdog_flags_slow_case_without_killing_it(self):
         # a 1 ms stall limit trips immediately; the case still finishes
         events = []
-        results = run_fleet(select([FAST_CASE]), repeats=1, memory=False,
+        results = run_fleet(select([CASE]), repeats=1, memory=False,
                             heartbeat=events.append, stall_after_ms=1.0)
         assert len(results) == 1 and results[0].stats["rounds"] > 0
         stalls = [e for e in events if e["status"] == "stall"]
         assert len(stalls) == 1  # flagged once, not once per poll
-        assert stalls[0]["case"] == FAST_CASE
+        assert stalls[0]["case"] == CASE
         assert stalls[0]["elapsed_ms"] > 1.0
         assert stalls[0]["stall_after_ms"] == 1.0
         assert [e["status"] for e in events][-1] == "done"
 
     def test_cli_heartbeat_prints_case_lines(self, tmp_path, capsys):
-        rc = main(["bench", "--cases", FAST_CASE, "--repeats", "1",
+        rc = main(["bench", "--cases", CASE, "--repeats", "1",
                    "--no-memory", "--no-gate", "--heartbeat",
                    "--json", str(tmp_path / "b.json")])
         assert rc == 0
         err = capsys.readouterr().err
-        assert f"[bench] case {FAST_CASE} start" in err
-        assert f"[bench] case {FAST_CASE} done (" in err
+        assert f"[bench] case {CASE} start" in err
+        assert f"[bench] case {CASE} done (" in err
 
     def test_cli_heartbeat_stall_line(self, tmp_path, capsys):
-        rc = main(["bench", "--cases", FAST_CASE, "--repeats", "1",
+        rc = main(["bench", "--cases", CASE, "--repeats", "1",
                    "--no-memory", "--no-gate", "--heartbeat",
                    "--stall-after-ms", "1",
                    "--json", str(tmp_path / "b.json")])
         assert rc == 0
         err = capsys.readouterr().err
-        assert f"[bench] case {FAST_CASE} stall STALL:" in err
+        assert f"[bench] case {CASE} stall STALL:" in err
 
     def test_counter_drift_trips_gate_and_attaches_divergence(self, tmp_path):
-        results = run_fleet(select([FAST_CASE]), repeats=1, memory=False)
+        results = run_fleet(select([CASE]), repeats=1, memory=False)
         stats = dict(results[0].stats)
-        previous = {FAST_CASE: dict(stats, tokens_sent=stats["tokens_sent"] + 1)}
+        previous = {CASE: dict(stats, tokens_sent=stats["tokens_sent"] + 1)}
         violations = gate_fleet(results, previous)
         assert [v.kind for v in violations] == ["counter"]
         reports = bisect_regression(violations, default_matrix(), previous,
@@ -276,7 +306,7 @@ class TestFleetHeartbeat:
         assert "identical" in reports[0].divergence
 
     def test_gate_passes_against_own_history(self, tmp_path):
-        cases = select([FAST_CASE])
+        cases = select([CASE])
         baseline = run_fleet(cases, repeats=2, memory=False)
         previous = {r.name: dict(r.stats) for r in baseline}
         fresh = run_fleet(cases, repeats=2, memory=False)
@@ -286,8 +316,8 @@ class TestFleetHeartbeat:
         assert main(["bench", "--list", "--full"]) == 0
         out = capsys.readouterr().out
         assert "budget_ms" in out
-        assert FAST_CASE in out
-        assert "algorithm1_benign_n160_fast_timeline" in out  # full-only
+        assert CASE in out
+        assert "algorithm1_benign_n160_columnar_timeline" in out  # full-only
 
     def test_report_renders_from_two_buckets(self, tmp_path, capsys):
         path = _synthetic_history(tmp_path)
@@ -296,21 +326,21 @@ class TestFleetHeartbeat:
 
     def test_bad_inject_spec_exits(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["bench", "--cases", FAST_CASE, "--json",
+            main(["bench", "--cases", CASE, "--json",
                   str(tmp_path / "b.json"), "--inject-slowdown", "nocolon"])
         with pytest.raises(SystemExit):
-            main(["bench", "--cases", FAST_CASE, "--json",
+            main(["bench", "--cases", CASE, "--json",
                   str(tmp_path / "b.json"),
                   "--inject-slowdown", "unknown_case:50"])
         with pytest.raises(SystemExit):
-            main(["bench", "--cases", FAST_CASE, "--json",
+            main(["bench", "--cases", CASE, "--json",
                   str(tmp_path / "b.json"),
                   "--inject-envelope", "unknown_case:50"])
 
 
 class TestEnvelopeGate:
     def test_benign_case_carries_envelope_columns(self):
-        results = run_fleet(select([FAST_CASE]), repeats=1, memory=False)
+        results = run_fleet(select([CASE]), repeats=1, memory=False)
         stats = results[0].stats
         assert stats["envelope_ok"] is True
         assert stats["envelope_tokens"] >= stats["tokens_sent"]
@@ -323,28 +353,29 @@ class TestEnvelopeGate:
                 abs=1e-4)
 
     def test_adversarial_case_has_no_envelope_gate(self):
-        results = run_fleet(select(["flood-all_adversarial_n48_fast_timeline"]),
-                            repeats=1, memory=False)
+        results = run_fleet(
+            select(["flood-all_adversarial_n48_columnar_timeline"]),
+            repeats=1, memory=False)
         assert "envelope_ok" not in results[0].stats
 
     def test_injected_excursion_fails_absolute_gate(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
-        rc = main(["bench", "--cases", FAST_CASE, "--repeats", "1",
+        rc = main(["bench", "--cases", CASE, "--repeats", "1",
                    "--no-memory", "--commit", "c1", "--json", str(path),
-                   "--inject-envelope", f"{FAST_CASE}:100"])
+                   "--inject-envelope", f"{CASE}:100"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL: [envelope]" in out
         assert "exited the analytical envelope" in out
         # the injection scales ratios only: counters stay truthful
-        stats = load_bench(path)["history"]["c1"][FAST_CASE]
+        stats = load_bench(path)["history"]["c1"][CASE]
         assert stats["tokens_sent"] <= stats["envelope_tokens"]
         assert stats["envelope_ratio_tokens"] > 1.0
 
     def test_ratio_drift_vs_previous_bucket_trips_gate(self):
-        results = run_fleet(select([FAST_CASE]), repeats=1, memory=False)
+        results = run_fleet(select([CASE]), repeats=1, memory=False)
         stats = dict(results[0].stats)
-        previous = {FAST_CASE: dict(
+        previous = {CASE: dict(
             stats,
             envelope_ratio_tokens=stats["envelope_ratio_tokens"] / 2,
         )}
@@ -356,11 +387,11 @@ class TestEnvelopeGate:
 
     def test_trend_dashboard_shows_envelope_columns(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
-        record_bucket(path, {FAST_CASE: {
+        record_bucket(path, {CASE: {
             "speedup": 2.0, "envelope_ratio_tokens": 0.62,
             "envelope_ok": True,
         }}, commit="c1")
-        record_bucket(path, {FAST_CASE: {
+        record_bucket(path, {CASE: {
             "speedup": 2.1, "envelope_ratio_tokens": 1.31,
             "envelope_ok": False,
         }}, commit="c2")
@@ -382,3 +413,81 @@ class TestEnvelopeGate:
         empty.write_text('{"history": {}}')
         assert main(["bench", "--report", "--json", str(empty)]) == 0
         assert "no history buckets" in capsys.readouterr().out
+
+
+class TestGateCases:
+    """The five gate cases: each passes on a healthy engine and exits 1
+    with its gate kind under an injected slowdown."""
+
+    def test_quick_tier_carries_gate_cases_and_one_vectorised_engine(
+            self, capsys):
+        assert main(["bench", "--list", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "_fast_" not in out
+        for name in GATES:
+            assert name in out
+        assert len(default_matrix()) <= 51
+        quick = expand("quick")
+        assert len([c for c in quick if c.pinned is None]) == 10
+
+    @pytest.mark.parametrize("name", list(GATES))
+    def test_passes_on_healthy_engine(self, name):
+        case = select([name])[0]
+        if case.overhead_budget is not None:
+            # generous budget: passes anywhere unless the observer became
+            # outright pathological relative to the observer-free run
+            case = replace(case, overhead_budget=20.0)
+        results = run_fleet([case], repeats=1, memory=False)
+        stats = results[0].stats
+        assert stats["identical"] is True
+        previous = {case.name: dict(stats)}
+        assert gate_fleet(results, previous) == []
+
+    @pytest.mark.parametrize("name", list(GATES))
+    def test_fails_under_injected_slowdown(self, name, tmp_path, capsys):
+        kind = GATES[name]
+        path = tmp_path / "BENCH_engine.json"
+        if kind == "speedup":  # a history gate: record a baseline first
+            assert main(["bench", "--cases", name, "--repeats", "3",
+                         "--no-memory", "--commit", "c1",
+                         "--json", str(path)]) == 0
+            capsys.readouterr()
+        rc = main(["bench", "--cases", name, "--repeats", "1", "--no-memory",
+                   "--commit", "c2", "--json", str(path),
+                   "--inject-slowdown", f"{name}:300"])
+        assert rc == 1
+        assert f"FAIL: [{kind}] {name}" in capsys.readouterr().out
+
+    def test_speedup_gate_case_keeps_a_25_percent_floor(self):
+        gate, plain = select([SPEEDUP_GATE, CASE])
+        results = [CaseResult(gate, {"speedup": 0.7}),
+                   CaseResult(plain, {"speedup": 0.7})]
+        previous = {gate.name: {"speedup": 1.0}, plain.name: {"speedup": 1.0}}
+        # a 30% loss passes the fleet-wide 50% threshold, not the case's 25%
+        violations = gate_fleet(results, previous, threshold=0.5)
+        assert [(v.case, v.kind) for v in violations] == [
+            (SPEEDUP_GATE, "speedup")]
+        assert "threshold 25%" in violations[0].message
+
+    def test_unknown_case_exits(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--cases", "no_such_case",
+                  "--json", str(tmp_path / "b.json")])
+        assert "no_such_case" in str(exc.value.code)
+
+    def test_equivalence_failure_bisect_reports_divergence(
+            self, tmp_path, capsys, vectorised_fault):
+        """Under an injected vectorised-engine fault the n0 = 100 gate
+        case fails equivalence and the bisection report pinpoints the
+        exact round and node."""
+        vectorised_fault(3, 5, 0)
+        report = tmp_path / "bisect.txt"
+        rc = main(["bench", "--cases", SPEEDUP_GATE, "--repeats", "1",
+                   "--no-memory", "--json", str(tmp_path / "b.json"),
+                   "--bisect", "--bisect-report", str(report)])
+        assert rc == 1
+        assert f"FAIL: [equivalence] {SPEEDUP_GATE}" in capsys.readouterr().out
+        text = report.read_text()
+        assert "DIVERGENCE" in text
+        assert "first diverging round: 3" in text
+        assert "node 5" in text

@@ -1,12 +1,9 @@
 """Run telemetry (repro.obs): timeline recording, engine integration,
 registry-wide fastpath⇄reference timeline equivalence, serialization,
-JSONL export, and the benchmark-regression gate's self-test hook."""
+and JSONL export."""
 
 import argparse
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -271,88 +268,3 @@ class TestTimelineSerialization:
         execute(spec, scenario, cache=store, obs="off")
         record = execute(spec, scenario, cache=store, obs="timeline")
         assert record.result.timeline is not None
-
-
-def _load_check_regression():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("check_regression", module)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestRegressionGate:
-    CASE = "algorithm1_full_run_n100_r126"
-
-    def test_passes_on_healthy_engine(self):
-        # lenient threshold: the gate must pass on any machine unless the
-        # fast path genuinely stopped being faster than the reference
-        gate = _load_check_regression()
-        assert gate.main(["--threshold", "0.9", "--repeats", "1",
-                          "--cases", self.CASE]) == 0
-
-    def test_fails_on_injected_slowdown(self):
-        gate = _load_check_regression()
-        assert gate.main(["--threshold", "0.25", "--repeats", "1",
-                          "--cases", self.CASE,
-                          "--inject-slowdown-ms", "300"]) == 1
-
-    def test_fails_on_unknown_case(self):
-        gate = _load_check_regression()
-        assert gate.main(["--cases", "no-such-case"]) == 1
-
-    def test_obs_overhead_within_budget(self):
-        # generous budget: passes anywhere unless trace recording became
-        # outright pathological relative to an untraced run
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--obs-budget", "20",
-                          "--cases", "obs_overhead_trace_vs_off"]) == 0
-
-    def test_obs_overhead_gate_fails_on_injected_overhead(self):
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--obs-budget", "3.0",
-                          "--cases", "obs_overhead_trace_vs_off",
-                          "--inject-obs-overhead-ms", "300"]) == 1
-
-    def test_record_overhead_within_budget(self):
-        # generous budget: passes anywhere unless obs="record" became
-        # outright pathological relative to an unobserved run
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--record-budget", "20",
-                          "--cases", "record_overhead_vs_off"]) == 0
-
-    def test_record_overhead_gate_fails_on_injected_overhead(self):
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--record-budget", "3.0",
-                          "--cases", "record_overhead_vs_off",
-                          "--inject-record-overhead-ms", "300"]) == 1
-
-    def test_stream_overhead_within_budget(self):
-        # generous budget: passes anywhere unless attaching the bus became
-        # outright pathological relative to a bus-free timeline run
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--stream-budget", "20",
-                          "--cases", "stream_overhead_vs_off"]) == 0
-
-    def test_stream_overhead_gate_fails_on_injected_overhead(self):
-        gate = _load_check_regression()
-        assert gate.main(["--repeats", "1", "--stream-budget", "1.15",
-                          "--cases", "stream_overhead_vs_off",
-                          "--inject-stream-overhead-ms", "300"]) == 1
-
-    def test_equivalence_failure_emits_divergence_report(self, tmp_path,
-                                                         vectorised_fault):
-        """Under an injected vectorised-engine fault the full-run
-        equivalence case fails AND pinpoints the exact round/node in a
-        written report."""
-        gate = _load_check_regression()
-        vectorised_fault(3, 5, 0)
-        report = tmp_path / "divergence.txt"
-        assert gate.main(["--threshold", "0.9", "--repeats", "1",
-                          "--cases", self.CASE,
-                          "--divergence-report", str(report)]) == 1
-        text = report.read_text()
-        assert "DIVERGENCE" in text
-        assert "first diverging round: 3" in text
-        assert "node 5" in text

@@ -12,8 +12,10 @@ streams, generator construction order, engine scheduling.
 
 import pytest
 
+from repro.bench.matrix import columnar_gate_scenario, regression_gate_scenario
+from repro.bench.runner import equivalent
 from repro.core.analysis import table3
-from repro.experiments.runner import run_algorithm1, run_klo_interval
+from repro.experiments.runner import execute, run_algorithm1, run_klo_interval
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.experiments.tables import simulated_table3
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
@@ -71,3 +73,20 @@ class TestSimulationPins:
         # shape pins with slack for rng-stream evolution
         assert hinet_T["measured_comm"] < 0.5 * klo_T["measured_comm"]
         assert hinet_1["measured_comm"] < klo_1["measured_comm"]
+
+
+class TestGateInstancePins:
+    """Exact counters of the two fleet gate instances (``repro bench``
+    cases ``algorithm1_hinet47_*`` and ``algorithm1_star_*``)."""
+
+    def test_hinet47_run_pin_and_bit_identity(self):
+        scenario = regression_gate_scenario()
+        col = execute("algorithm1", scenario, engine="columnar", cache=False)
+        ref = execute("algorithm1", scenario, engine="reference", cache=False)
+        assert (col.rounds, col.tokens_sent) == (126, 3498)
+        assert equivalent(col.result, ref.result)
+
+    def test_star_n10000_columnar_pin(self):
+        col = execute("algorithm1", columnar_gate_scenario(),
+                      engine="columnar", cache=False)
+        assert (col.rounds, col.tokens_sent) == (72, 31300)
