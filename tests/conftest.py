@@ -72,3 +72,52 @@ def vectorised_fault(monkeypatch):
         )
 
     return inject
+
+
+@pytest.fixture
+def gate_passes():
+    """``gate_passes(name)`` runs bench gate case ``name`` once on the
+    healthy engine and asserts it passes its gate against its own stats.
+
+    An overhead gate runs under a generous 20x budget: it passes anywhere
+    unless the observer became outright pathological relative to the
+    observer-free run.
+    """
+    from dataclasses import replace
+
+    from repro.bench import gate_fleet, run_fleet, select
+
+    def check(name: str):
+        case = select([name])[0]
+        if case.overhead_budget is not None:
+            case = replace(case, overhead_budget=20.0)
+        results = run_fleet([case], repeats=1, memory=False)
+        stats = results[0].stats
+        assert stats["identical"] is True
+        assert gate_fleet(results, {case.name: dict(stats)}) == []
+
+    return check
+
+
+@pytest.fixture
+def gate_trips(tmp_path, capsys):
+    """``gate_trips(name, kind)`` runs ``repro bench`` on gate case
+    ``name`` with a 300 ms injected slowdown and asserts it exits 1 with
+    a ``kind`` gate failure.  A history gate (``speedup``) first records
+    a 3-repeat baseline bucket to gate against."""
+    from repro.cli import main
+
+    def check(name: str, kind: str):
+        path = tmp_path / "BENCH_engine.json"
+        if kind == "speedup":
+            assert main(["bench", "--cases", name, "--repeats", "3",
+                         "--no-memory", "--commit", "c1",
+                         "--json", str(path)]) == 0
+            capsys.readouterr()
+        rc = main(["bench", "--cases", name, "--repeats", "1", "--no-memory",
+                   "--commit", "c2", "--json", str(path),
+                   "--inject-slowdown", f"{name}:300"])
+        assert rc == 1
+        assert f"FAIL: [{kind}] {name}" in capsys.readouterr().out
+
+    return check

@@ -1,6 +1,5 @@
 """Benchmark fleet: matrix, history series, trends, gating and bisection."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +37,7 @@ GATES = {
     "algorithm1_hinet47_n100_columnar_timeline_stream": "overhead",
 }
 SPEEDUP_GATE = "algorithm1_hinet47_n100_columnar_timeline"
+BUDGET_GATE = "algorithm1_star_n10000_columnar_timeline"
 
 
 class TestMatrix:
@@ -430,33 +430,12 @@ class TestGateCases:
         quick = expand("quick")
         assert len([c for c in quick if c.pinned is None]) == 10
 
-    @pytest.mark.parametrize("name", list(GATES))
-    def test_passes_on_healthy_engine(self, name):
-        case = select([name])[0]
-        if case.overhead_budget is not None:
-            # generous budget: passes anywhere unless the observer became
-            # outright pathological relative to the observer-free run
-            case = replace(case, overhead_budget=20.0)
-        results = run_fleet([case], repeats=1, memory=False)
-        stats = results[0].stats
-        assert stats["identical"] is True
-        previous = {case.name: dict(stats)}
-        assert gate_fleet(results, previous) == []
+    # the n0 = 100 HiNet gate cases run in tests/test_obs.py::TestRegressionGate
+    def test_budget_gate_passes_on_healthy_engine(self, gate_passes):
+        gate_passes(BUDGET_GATE)
 
-    @pytest.mark.parametrize("name", list(GATES))
-    def test_fails_under_injected_slowdown(self, name, tmp_path, capsys):
-        kind = GATES[name]
-        path = tmp_path / "BENCH_engine.json"
-        if kind == "speedup":  # a history gate: record a baseline first
-            assert main(["bench", "--cases", name, "--repeats", "3",
-                         "--no-memory", "--commit", "c1",
-                         "--json", str(path)]) == 0
-            capsys.readouterr()
-        rc = main(["bench", "--cases", name, "--repeats", "1", "--no-memory",
-                   "--commit", "c2", "--json", str(path),
-                   "--inject-slowdown", f"{name}:300"])
-        assert rc == 1
-        assert f"FAIL: [{kind}] {name}" in capsys.readouterr().out
+    def test_budget_gate_fails_under_injected_slowdown(self, gate_trips):
+        gate_trips(BUDGET_GATE, "budget")
 
     def test_speedup_gate_case_keeps_a_25_percent_floor(self):
         gate, plain = select([SPEEDUP_GATE, CASE])

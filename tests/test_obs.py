@@ -1,6 +1,6 @@
 """Run telemetry (repro.obs): timeline recording, engine integration,
 registry-wide fastpath⇄reference timeline equivalence, serialization,
-and JSONL export."""
+JSONL export, and the observer-overhead benchmark gates."""
 
 import argparse
 import json
@@ -268,3 +268,39 @@ class TestTimelineSerialization:
         execute(spec, scenario, cache=store, obs="off")
         record = execute(spec, scenario, cache=store, obs="timeline")
         assert record.result.timeline is not None
+
+
+class TestRegressionGate:
+    """The ``repro bench`` gate cases of the n0 = 100 HiNet instance: the
+    columnar-vs-reference speedup gate and the trace, record and stream
+    observer-overhead gates each pass on a healthy engine and trip under
+    an injected slowdown."""
+
+    CASE = "algorithm1_hinet47_n100_columnar_timeline"
+    TRACE = "algorithm1_hinet47_n100_columnar_trace"
+    RECORD = "algorithm1_hinet47_n100_columnar_record"
+    STREAM = "algorithm1_hinet47_n100_columnar_timeline_stream"
+
+    def test_passes_on_healthy_engine(self, gate_passes):
+        gate_passes(self.CASE)
+
+    def test_fails_on_injected_slowdown(self, gate_trips):
+        gate_trips(self.CASE, "speedup")
+
+    def test_obs_overhead_within_budget(self, gate_passes):
+        gate_passes(self.TRACE)
+
+    def test_obs_overhead_gate_fails_on_injected_overhead(self, gate_trips):
+        gate_trips(self.TRACE, "overhead")
+
+    def test_record_overhead_within_budget(self, gate_passes):
+        gate_passes(self.RECORD)
+
+    def test_record_overhead_gate_fails_on_injected_overhead(self, gate_trips):
+        gate_trips(self.RECORD, "overhead")
+
+    def test_stream_overhead_within_budget(self, gate_passes):
+        gate_passes(self.STREAM)
+
+    def test_stream_overhead_gate_fails_on_injected_overhead(self, gate_trips):
+        gate_trips(self.STREAM, "overhead")
